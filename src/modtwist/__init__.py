@@ -21,7 +21,7 @@ from .diagrams import (
     reflection_symmetries,
     word_transpose,
 )
-from .errors import BudgetError, DomainError, ParseError
+from .errors import BudgetError, DomainError, ParseError, VerificationError
 from .factorization import (
     Factorization,
     FactorizationRealityReport,

@@ -17,7 +17,7 @@ from typing import Optional
 
 from . import mcurve as mc
 from . import necklace as nk
-from .errors import BudgetError, DomainError, ParseError
+from .errors import BudgetError, DomainError, ParseError, VerificationError
 from .factorization import (
     canonical_2factorizations,
     count_classes,
@@ -71,7 +71,8 @@ def _cmd_factorize(args) -> dict:
     strong, weak = count_classes(g)
     reps = []
     for fact, label in zip(canonical_2factorizations(g), strong_class_labels(g)):
-        assert fact.product == g
+        if fact.product != g:
+            raise VerificationError(f"representative multiplies to {fact.product}, not {g}")
         reps.append(
             {
                 "factors": [list(map(list, f.matrix())) for f in fact.factors],
@@ -130,7 +131,6 @@ def _cmd_necklace(args) -> dict:
         args.w,
         category=args.category,
         budget=_budget(),
-        jobs=args.jobs,
     )
     if args.out:
         with open(args.out, "w") as handle:
@@ -185,7 +185,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--category", choices=("oriented", "nonoriented"), default="nonoriented"
     )
     pe.add_argument("--out", help="write one representative per line to this file")
-    pe.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     pe.set_defaults(func=_cmd_necklace)
     ps = nsub.add_parser("stats", help="stone counts and obstruction record")
     ps.add_argument("word", help="stone word over O, S, >, <")

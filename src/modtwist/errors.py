@@ -11,3 +11,7 @@ class DomainError(ValueError):
 
 class BudgetError(RuntimeError):
     """Requested computation exceeds the configured resource budget."""
+
+
+class VerificationError(RuntimeError):
+    """A computed result failed its own re-check."""

@@ -16,21 +16,19 @@ the pendant condition (monodromy = id for w = 0, a positive twist for
 w = 1, 2-factorizable for w = 2) and counts orbits; for w = 2 the objects
 are (diagram, strong-class) pairs and the class index is transported
 along shifts by conjugation and along the inverse by the anti-automorphism
-of tau_1.  The w = 0 filter runs by meet-in-the-middle on half-word
-products, the w = 1 filter on a vectorized table of all products, so the
-k = 2 counts take seconds.
+of tau_1.  The filter joins the histograms of the two half-words over
+their distinct monodromies, so the condition is decided once per distinct
+product and only passing words are spelled out; the orbits are counted in
+one sorted sweep.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
-from .errors import BudgetError, DomainError
+from .errors import BudgetError, DomainError, VerificationError
 from .factorization import (
     Factorization,
     StrongClassLabel,
@@ -259,7 +257,8 @@ def orbit(word: str, category: str) -> set[str]:
         seeds.add(inverse(word))
     if category in ("flat_oriented", "flat_nonoriented"):
         seeds |= {dual(s) for s in seeds}
-    return {shift(s, k) for s in seeds for k in range(n)}
+    doubled = [s + s for s in seeds]
+    return {d[k : k + n] for d in doubled for k in range(n)}
 
 
 def canonicalize(word: str, category: str) -> NecklaceClass:
@@ -305,45 +304,12 @@ class EnumerationResult:
 
 DEFAULT_WORD_BUDGET = 4**14
 
-_CODE = {stone: i for i, stone in enumerate(sorted(STONES))}  # ASCII order
-_STONE_OF_CODE = sorted(STONES)
-_INV_CODE = np.array([_CODE[_STONE_OF_CODE[i].translate(_INVERT_STONE)] for i in range(4)])
-
-
-def _words_to_codes(words: list[str]) -> np.ndarray:
-    n = len(words[0])
-    flat = np.frombuffer("".join(words).encode(), dtype=np.uint8).reshape(-1, n)
-    lut = np.zeros(256, dtype=np.int64)
-    for stone, code in _CODE.items():
-        lut[ord(stone)] = code
-    return lut[flat]
-
-
-def _canonical_count(words: list[str], category: str) -> tuple[int, list[str]]:
-    """Count orbit-minimal words among a transform-closed word list."""
-    if not words:
-        return 0, []
-    if len(words) < 2048:
-        reps = sorted({min(orbit(word, category)) for word in words})
-        return len(reps), reps
-    codes = _words_to_codes(words)
-    n = codes.shape[1]
-    weights = 4 ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    variants = [codes]
-    if category == "nonoriented":
-        variants.append(_INV_CODE[codes[:, ::-1]])
-    packed = [
-        np.concatenate([var[:, r:], var[:, :r]], axis=1) @ weights
-        for var in variants
-        for r in range(n)
-    ]
-    minima = np.minimum.reduce(packed)
-    values = np.unique(minima)
-    reps = []
-    for value in values.tolist():
-        digits = [(value >> (2 * (n - 1 - i))) & 3 for i in range(n)]
-        reps.append("".join(_STONE_OF_CODE[d] for d in digits))
-    return len(values), reps
+# the pendant condition on a monodromy, per weight w
+_HAS_PENDANT = {
+    0: lambda g: g == IDENTITY,
+    1: lambda g: twist_vector(g) is not None,
+    2: exists_2factorization,
+}
 
 
 def _stone_products(length: int) -> list[tuple[str, GroupElement]]:
@@ -353,160 +319,129 @@ def _stone_products(length: int) -> list[tuple[str, GroupElement]]:
     return out
 
 
-def _identity_words(n: int) -> list[str]:
-    """All stone words of length n with monodromy id (meet-in-the-middle)."""
-    half = n // 2
-    prefixes = _stone_products(half)
-    suffix_map: dict[GroupElement, list[str]] = {}
-    for word, g in _stone_products(n - half):
-        suffix_map.setdefault(g, []).append(word)
-    found = []
-    for word, g in prefixes:
-        for tail in suffix_map.get(g.inverse(), ()):
-            found.append(word + tail)
-    return found
-
-
-def _word_of_index(idx: int, n: int) -> str:
-    digits = [(idx >> (2 * (n - 1 - i))) & 3 for i in range(n)]
-    return "".join(_STONE_OF_CODE[d] for d in digits)
-
-
-_ASCII_OF_CODE = np.frombuffer("".join(_STONE_OF_CODE).encode(), dtype=np.uint8)
-
-
-def _words_of_indices(indices: np.ndarray, n: int) -> list[str]:
-    shifts = 2 * np.arange(n - 1, -1, -1, dtype=np.int64)
-    digits = (indices[:, None] >> shifts) & 3
-    text = _ASCII_OF_CODE[digits].tobytes().decode()
-    return [text[i * n : (i + 1) * n] for i in range(len(indices))]
-
-
-def _scan_chunk(args: tuple[int, int, int, str]) -> list[str]:
-    """Filter the words with indices in [start, stop) by the named condition."""
-    n, start, stop, mode = args
-    out = []
-    for idx in range(start, stop):
-        word = _word_of_index(idx, n)
-        m = monodromy(word)
-        if mode == "twist":
-            if twist_vector(m):
-                out.append(word)
-        elif exists_2factorization(m):
-            out.append(word)
+def _histogram(length: int) -> dict[GroupElement, list[str]]:
+    """Stone words of the given length, grouped by monodromy."""
+    out: dict[GroupElement, list[str]] = {}
+    for word, g in _stone_products(length):
+        out.setdefault(g, []).append(word)
     return out
 
 
-def _parallel_scan(n: int, mode: str, jobs: int) -> list[str]:
-    total = 4**n
-    if jobs <= 1 or total < 4096:
-        return _scan_chunk((n, 0, total, mode))
-    step = -(-total // jobs)
-    chunks = [(n, lo, min(lo + step, total), mode) for lo in range(0, total, step)]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        parts = list(pool.map(_scan_chunk, chunks))
-    return [word for part in parts for word in part]
+def _pendant_words(n: int, w: int) -> dict[str, GroupElement]:
+    """Stone words of length n carrying a w-pendant, mapped to their monodromy.
+
+    Joins the half-word histograms over their distinct elements, so the
+    condition is decided once per distinct product; words are spelled out
+    only where it holds.  For w = 0 the only partner is the inverse.
+    """
+    halves = {m: _histogram(m) for m in {n // 2, n - n // 2}}
+    left, right = halves[n // 2], halves[n - n // 2]
+    holds: dict[GroupElement, bool] = {}
+    found: dict[str, GroupElement] = {}
+    for gl, heads in left.items():
+        if w == 0:
+            joins = [(IDENTITY, right.get(gl.inverse(), []))]
+        else:
+            joins = [(gl * gr, tails) for gr, tails in right.items()]
+        for g, tails in joins:
+            if g not in holds:
+                holds[g] = _HAS_PENDANT[w](g)
+            if holds[g]:
+                found.update(dict.fromkeys([h + t for h in heads for t in tails], g))
+    return found
 
 
-def _product_table(n: int) -> np.ndarray:
-    """(4^n, 2, 2) table of monodromies; first stone is the high digit."""
-    mats = np.array(
-        [STONE_MONODROMY[s].matrix() for s in _STONE_OF_CODE], dtype=np.int64
-    )
-    table = np.eye(2, dtype=np.int64)[None, :, :]
-    for _ in range(n):
-        table = np.einsum("sij,njk->snik", mats, table).reshape(-1, 2, 2)
-    return table
+def _orbit_minima(words, category: str) -> list[str]:
+    """Orbit-minimal words of a transform-closed word set, in sorted order.
 
-def _twist_words_vector(n: int) -> list[str]:
-    table = _product_table(n)
-    a, b = table[:, 0, 0], table[:, 0, 1]
-    c, d = table[:, 1, 0], table[:, 1, 1]
-    tr = a + d
-    sign = np.where(tr < 0, -1, 1)
-    a, b, c, d = a * sign, b * sign, c * sign, d * sign
-    ok = (a + d == 2) & (b <= 0) & (c >= 0)
-    q = np.rint(np.sqrt(np.where(ok, -b, 0))).astype(np.int64)
-    p = np.rint(np.sqrt(np.where(ok, c, 0))).astype(np.int64)
-    ok &= (q * q == -b) & (p * p == c) & (np.gcd(p, q) == 1)
-    ok &= (a == 1 - p * q) | (a == 1 + p * q)
-    return _words_of_indices(np.nonzero(ok)[0], n)
-
-
-def _two_pendant_words(n: int, jobs: int = 1) -> list[str]:
-    """Stone words whose monodromy admits a 2-factorization."""
-    if n < 9:
-        return _parallel_scan(n, "two_pendant", jobs)
-    # trace prefilter on the product table, exact check on the survivors
-    table = _product_table(n)
-    tr = np.abs(table[:, 0, 0] + table[:, 1, 1])
-    lo = np.rint(np.sqrt(np.maximum(2 - tr, 0))).astype(np.int64)
-    hi = np.rint(np.sqrt(2 + tr)).astype(np.int64)
-    mask = (lo * lo == 2 - tr) | (hi * hi == 2 + tr)
-    words = _words_of_indices(np.nonzero(mask)[0], n)
-    return [w for w in words if exists_2factorization(monodromy(w))]
+    In one sorted sweep the first word not yet seen is its orbit's minimum.
+    """
+    seen: set[str] = set()
+    reps = []
+    for word in sorted(words):
+        if word not in seen:
+            reps.append(word)
+            seen |= orbit(word, category)
+    return reps
 
 
 class _PendantTransport:
-    """Transports strong-class indices of 2-factorizations along the actions."""
+    """Transports strong-class indices of 2-factorizations along the actions.
+
+    A move depends only on the monodromy, the class index and, for a
+    shift, the wrapped stone, so each is located once and memoized.
+    """
 
     def __init__(self):
-        self._facts: dict[str, list[Factorization]] = {}
+        self._facts: dict[GroupElement, list[Factorization]] = {}
+        self._labels: dict[GroupElement, list[str]] = {}
+        self._shifts: dict[tuple, tuple[GroupElement, int]] = {}
+        self._inverses: dict[tuple, tuple[GroupElement, int]] = {}
 
-    def factorizations(self, word: str) -> list[Factorization]:
-        if word not in self._facts:
-            self._facts[word] = canonical_2factorizations(monodromy(word))
-        return self._facts[word]
+    def factorizations(self, g: GroupElement) -> list[Factorization]:
+        if g not in self._facts:
+            self._facts[g] = canonical_2factorizations(g)
+        return self._facts[g]
 
-    def _locate(self, word: str, fact: Factorization) -> int:
+    def labels(self, g: GroupElement) -> list[str]:
+        if g not in self._labels:
+            self._labels[g] = [label.describe() for label in strong_class_labels(g)]
+        return self._labels[g]
+
+    def _locate(self, fact: Factorization) -> tuple[GroupElement, int]:
+        g = fact.product
         matches = [
             i
-            for i, canonical in enumerate(self.factorizations(word))
+            for i, canonical in enumerate(self.factorizations(g))
             if decide_strong_equivalence(fact, canonical)
         ]
-        assert len(matches) == 1, "factorization matches a unique strong class"
-        return matches[0]
+        if len(matches) != 1:
+            raise VerificationError(
+                f"transported factorization matches {len(matches)} strong classes of {g}"
+            )
+        return g, matches[0]
 
-    def shifted(self, word: str, idx: int) -> tuple[str, int]:
-        new_word = shift(word)
-        conj = STONE_MONODROMY[word[0]]
-        moved = self.factorizations(word)[idx].conjugated_by(conj)
-        return new_word, self._locate(new_word, moved)
+    def shifted(self, word: str, g: GroupElement, idx: int) -> tuple[str, GroupElement, int]:
+        key = (g, idx, word[0])
+        if key not in self._shifts:
+            conj = STONE_MONODROMY[word[0]]
+            self._shifts[key] = self._locate(self.factorizations(g)[idx].conjugated_by(conj))
+        return (shift(word), *self._shifts[key])
 
-    def inverted(self, word: str, idx: int) -> tuple[str, int]:
-        new_word = inverse(word)
-        m1, m2 = self.factorizations(word)[idx].factors
-        moved = Factorization((real_involution(TAU1, m2), real_involution(TAU1, m1)))
-        return new_word, self._locate(new_word, moved)
+    def inverted(self, word: str, g: GroupElement, idx: int) -> tuple[str, GroupElement, int]:
+        key = (g, idx)
+        if key not in self._inverses:
+            m1, m2 = self.factorizations(g)[idx].factors
+            moved = Factorization((real_involution(TAU1, m2), real_involution(TAU1, m1)))
+            self._inverses[key] = self._locate(moved)
+        return (inverse(word), *self._inverses[key])
 
 
-def _count_pendant_pairs(words: list[str], category: str) -> tuple[int, list[tuple[str, str]]]:
+def _pendant_pair_minima(
+    found: dict[str, GroupElement], category: str
+) -> list[tuple[str, str]]:
+    """Orbit-minimal (word, strong class) pairs, by the sweep of _orbit_minima."""
     transport = _PendantTransport()
-    pending = set()
-    labels: dict[str, list[StrongClassLabel]] = {}
-    for word in words:
-        labels[word] = strong_class_labels(monodromy(word))
-        for idx in range(len(labels[word])):
-            pending.add((word, idx))
+    seen: set[tuple[str, int]] = set()
     reps = []
-    while pending:
-        seed = min(pending)
-        seen = {seed}
-        queue = [seed]
-        while queue:
-            word, idx = queue.pop()
-            nexts = [transport.shifted(word, idx)]
-            if category == "nonoriented":
-                nexts.append(transport.inverted(word, idx))
-            for item in nexts:
-                if item not in seen:
-                    seen.add(item)
-                    queue.append(item)
-        rep_word, rep_idx = min(seen)
-        reps.append((rep_word, labels[rep_word][rep_idx].describe()))
-        pending -= seen
-    reps.sort()
-    return len(reps), reps
+    for word in sorted(found):
+        g = found[word]
+        for idx, label in enumerate(transport.labels(g)):
+            if (word, idx) in seen:
+                continue
+            reps.append((word, label))
+            seen.add((word, idx))
+            queue = [(word, g, idx)]
+            while queue:
+                state = queue.pop()
+                moves = [transport.shifted(*state)]
+                if category == "nonoriented":
+                    moves.append(transport.inverted(*state))
+                for new_word, new_g, new_idx in moves:
+                    if (new_word, new_idx) not in seen:
+                        seen.add((new_word, new_idx))
+                        queue.append((new_word, new_g, new_idx))
+    return reps
 
 
 def enumerate_classes(
@@ -514,16 +449,12 @@ def enumerate_classes(
     w: int,
     category: str = "nonoriented",
     budget: int = DEFAULT_WORD_BUDGET,
-    engine: str = "auto",
-    jobs: int = 1,
 ) -> EnumerationResult:
     """Count w-pendant necklace diagram classes of length 6k - w.
 
     category is "oriented" (cyclic shifts, with the pendant conjugated
     along) or "nonoriented" (shifts and the inverse).  The raw search
-    space 4^(6k-w) must fit the word budget.  engine "python" forces the
-    scalar filters, "vector" the table-based ones (results agree); jobs
-    splits the scalar scans over processes.
+    space 4^(6k-w) must fit the word budget.
     """
     if k < 1 or w not in (0, 1, 2):
         raise DomainError("need k >= 1 and w in {0, 1, 2}")
@@ -533,27 +464,17 @@ def enumerate_classes(
     if 4**n > budget:
         raise BudgetError(f"4^{n} stone words exceed the budget of {budget}")
     start = time.perf_counter()
-    if w == 0:
-        words = _identity_words(n)
-        count, rep_words = _canonical_count(words, category)
-        reps = [(word, StrongClassLabel("empty").describe()) for word in rep_words]
-    elif w == 1:
-        use_vector = engine == "vector" or (engine == "auto" and n >= 9)
-        words = (
-            _twist_words_vector(n)
-            if use_vector
-            else _parallel_scan(n, "twist", jobs)
-        )
-        count, rep_words = _canonical_count(words, category)
-        reps = [(word, StrongClassLabel("single_twist").describe()) for word in rep_words]
+    found = _pendant_words(n, w)
+    if w == 2:
+        reps = _pendant_pair_minima(found, category)
     else:
-        words = _two_pendant_words(n, jobs)
-        count, reps = _count_pendant_pairs(words, category)
+        label = StrongClassLabel("empty" if w == 0 else "single_twist").describe()
+        reps = [(word, label) for word in _orbit_minima(found, category)]
     return EnumerationResult(
         k=k,
         w=w,
         category=category,
-        count=count,
+        count=len(reps),
         representatives=tuple(reps),
         elapsed=time.perf_counter() - start,
     )

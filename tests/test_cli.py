@@ -1,6 +1,12 @@
 import json
 
+import pytest
+
+from modtwist import cli
 from modtwist.cli import main
+from modtwist.errors import VerificationError
+from modtwist.factorization import pair
+from modtwist.psl2 import R
 
 
 def run_cli(capsys, *argv):
@@ -65,6 +71,13 @@ def test_factorize_x(capsys):
     payload = json.loads(out)
     assert payload["representatives"][0]["twist_vectors"] == [[1, 0], [0, 1]]
     assert payload["representatives"][0]["label"] == "full_group"
+
+
+def test_factorize_rejects_a_wrong_representative(monkeypatch):
+    # R * R is not L^4: the re-check must refuse to print it
+    monkeypatch.setattr(cli, "canonical_2factorizations", lambda g: [pair(R, R)])
+    with pytest.raises(VerificationError):
+        main(["factorize", "L^4"])
 
 
 def test_necklace_enumerate(capsys, tmp_path):
