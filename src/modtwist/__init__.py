@@ -23,9 +23,11 @@ from .diagrams import (
 )
 from .errors import BudgetError, DomainError, ParseError, VerificationError
 from .factorization import (
+    Analysis,
     Factorization,
     FactorizationRealityReport,
     StrongClassLabel,
+    analyze,
     canonical_2factorizations,
     count_classes,
     decide_strong_equivalence,

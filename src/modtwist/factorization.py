@@ -19,17 +19,19 @@ presentation yields the explicit pair
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from math import gcd
 from typing import Iterator, Optional
 
 from .diagrams import (
     CyclicDiagram,
+    ParaSymmetry,
     axis_word,
     para_symmetries,
     reflection_symmetries,
     word_transpose,
 )
-from .errors import DomainError
+from .errors import DomainError, VerificationError
 from .psl2 import (
     IDENTITY,
     L,
@@ -52,6 +54,8 @@ __all__ = [
     "Factorization",
     "StrongClassLabel",
     "FactorizationRealityReport",
+    "Analysis",
+    "analyze",
     "pair",
     "hurwitz_move",
     "exists_2factorization",
@@ -115,23 +119,6 @@ def hurwitz_move(f: Factorization, i: int, direction: int = 1) -> Factorization:
     return Factorization(tuple(factors))
 
 
-def _class_diagram(cls: ConjugacyClass) -> Optional[CyclicDiagram]:
-    word = cls.diagram_word
-    return CyclicDiagram(word) if word else None
-
-
-def exists_2factorization(g: GroupElement) -> bool:
-    """True iff g is a product of two positive Dehn twists."""
-    cls = classify(g)
-    if cls.kind == "elliptic_order3_pos":
-        return True
-    if cls.kind == "parabolic" and cls.index == 2:
-        return True
-    if cls.kind == "parabolic" and cls.index < 0 or cls.kind == "hyperbolic":
-        return bool(para_symmetries(_class_diagram(cls)))
-    return False
-
-
 @dataclass(frozen=True)
 class StrongClassLabel:
     """Label of a strong equivalence class of 2-factorizations.
@@ -152,70 +139,126 @@ class StrongClassLabel:
         return self.kind
 
 
-def _axis_factorizations(g: GroupElement):
-    """Per-axis canonical pairs for parabolic-negative / hyperbolic g."""
-    h, canon = cutting_conjugator(g)
-    diagram = CyclicDiagram(canon)
-    assert diagram.letters == canon
-    out = []
-    for sym in para_symmetries(diagram):
-        anchor = min(sym.anchor_starts)
-        rotated = diagram.rotated(anchor)
-        k = (len(canon) - 4) // 2
-        a_word = rotated[2 : 2 + k]
-        assert rotated == "LL" + a_word + "LL" + word_transpose(a_word)
-        first = X * L.inverse() * X.inverse()
-        wing = Y * evaluate(a_word) * X
-        second = wing * L.inverse() * wing.inverse()
-        assert first * second == evaluate(rotated)
-        # g = (prefix^-1 h)^-1 * evaluate(rotated) * (prefix^-1 h)
-        conj = evaluate(canon[:anchor]).inverse() * h
-        fact = pair(first, second).conjugated_by(conj)
-        assert fact.product == g
-        out.append((fact, StrongClassLabel("axis", axis=sym.axis, anchor=anchor)))
-    return out
+def _verify(fact: Factorization, g: GroupElement) -> Factorization:
+    if fact.product != g:
+        raise VerificationError(f"canonical factorization multiplies to {fact.product}, not {g}")
+    return fact
 
 
-def _canonical_with_labels(g: GroupElement):
+@dataclass(frozen=True)
+class Analysis:
+    """Everything the 2-factorization queries of one element read.
+
+    family names the label kind of the element's strong classes: "full_group"
+    (conjugate to X), "equal_twists" (conjugate to R^2), "axis" (negative
+    parabolic or hyperbolic, one class per para-symmetry of the cyclic
+    diagram) or None (never 2-factorizable).  The class, the diagram and
+    its para-symmetries are computed at once; the canonical pairs and the
+    reflection axes on first use, and are then kept on the record.
+    """
+
+    element: GroupElement
+    cls: ConjugacyClass
+    family: Optional[str]
+    diagram: Optional[CyclicDiagram]
+    symmetries: tuple[ParaSymmetry, ...]
+
+    @property
+    def strong_count(self) -> int:
+        if self.family == "axis":
+            return len(self.symmetries)
+        return 1 if self.family else 0
+
+    @property
+    def weak_count(self) -> int:
+        # the two classes of the L^4 class are conjugate by a root of it
+        if self.cls.kind == "parabolic" and self.strong_count == 2:
+            return 1
+        return self.strong_count
+
+    @cached_property
+    def canonical(self) -> tuple[tuple[Factorization, StrongClassLabel], ...]:
+        """One verified (representative, label) per strong class."""
+        g = self.element
+        if self.family == "axis":
+            return tuple(self._axis_factorizations())
+        if self.family is None:
+            return ()
+        h, _ = conjugator_to_rep(g)
+        if self.family == "full_group":
+            fact = pair(R, L.inverse()).conjugated_by(h)
+        else:
+            root = R.conjugated_by(h)
+            fact = pair(root, root)
+        return ((_verify(fact, g), StrongClassLabel(self.family)),)
+
+    def _axis_factorizations(self):
+        g = self.element
+        h, canon = cutting_conjugator(g)
+        for sym in self.symmetries:
+            anchor = min(sym.anchor_starts)
+            rotated = self.diagram.rotated(anchor)
+            k = (len(canon) - 4) // 2
+            a_word = rotated[2 : 2 + k]
+            if rotated != "LL" + a_word + "LL" + word_transpose(a_word):
+                raise VerificationError(f"{rotated} is not read as L.L.A.L.L.At at {anchor}")
+            first = X * L.inverse() * X.inverse()
+            wing = Y * evaluate(a_word) * X
+            second = wing * L.inverse() * wing.inverse()
+            if first * second != evaluate(rotated):
+                raise VerificationError(f"the pair read at axis {sym.axis} does not give {rotated}")
+            # g = (prefix^-1 h)^-1 * evaluate(rotated) * (prefix^-1 h)
+            conj = evaluate(canon[:anchor]).inverse() * h
+            fact = pair(first, second).conjugated_by(conj)
+            yield _verify(fact, g), StrongClassLabel("axis", axis=sym.axis, anchor=anchor)
+
+    @cached_property
+    def reflections(self) -> tuple[int, ...]:
+        """Reflection axes of the cyclic diagram (none without a diagram)."""
+        return reflection_symmetries(self.diagram) if self.diagram else ()
+
+
+# The size covers the 1,600 distinct monodromies of a pass of the benchmark's
+# pendant_stream workload and the 2,912 distinct passing products that the
+# k = 2, w = 2 enumeration transports.  Records are immutable apart from
+# their lazily cached fields, and every query returns a fresh list.
+@lru_cache(maxsize=4096)
+def analyze(g: GroupElement) -> Analysis:
+    """The shared, memoized 2-factorization analysis of g."""
     cls = classify(g)
     if cls.kind == "elliptic_order3_pos":
-        h, _ = conjugator_to_rep(g)
-        fact = pair(R, L.inverse()).conjugated_by(h)
-        assert fact.product == g
-        return [(fact, StrongClassLabel("full_group"))]
-    if cls.kind == "parabolic" and cls.index == 2:
-        h, _ = conjugator_to_rep(g)
-        root = R.conjugated_by(h)
-        fact = pair(root, root)
-        assert fact.product == g
-        return [(fact, StrongClassLabel("equal_twists"))]
-    if cls.kind == "parabolic" and cls.index < 0 or cls.kind == "hyperbolic":
-        return _axis_factorizations(g)
-    return []
+        family = "full_group"
+    elif cls.kind == "parabolic" and cls.index == 2:
+        family = "equal_twists"
+    elif cls.kind == "hyperbolic" or cls.kind == "parabolic" and cls.index < 0:
+        family = "axis"
+    else:
+        family = None
+    word = cls.diagram_word
+    diagram = CyclicDiagram(word) if word else None
+    symmetries = para_symmetries(diagram) if family == "axis" else ()
+    return Analysis(g, cls, family, diagram, symmetries)
+
+
+def exists_2factorization(g: GroupElement) -> bool:
+    """True iff g is a product of two positive Dehn twists."""
+    return analyze(g).strong_count > 0
 
 
 def canonical_2factorizations(g: GroupElement) -> list[Factorization]:
     """One verified representative per strong equivalence class (0, 1 or 2)."""
-    return [fact for fact, _ in _canonical_with_labels(g)]
+    return [fact for fact, _ in analyze(g).canonical]
 
 
 def strong_class_labels(g: GroupElement) -> list[StrongClassLabel]:
     """Labels parallel to canonical_2factorizations(g)."""
-    return [label for _, label in _canonical_with_labels(g)]
+    return [label for _, label in analyze(g).canonical]
 
 
 def count_classes(g: GroupElement) -> tuple[int, int]:
     """(strong, weak) counts of equivalence classes of 2-factorizations."""
-    cls = classify(g)
-    if cls.kind == "elliptic_order3_pos":
-        return 1, 1
-    if cls.kind == "parabolic" and cls.index == 2:
-        return 1, 1
-    if cls.kind == "parabolic" and cls.index < 0 or cls.kind == "hyperbolic":
-        strong = len(para_symmetries(_class_diagram(cls)))
-        weak = 1 if (cls.kind == "parabolic" and strong == 2) else strong
-        return strong, weak
-    return 0, 0
+    analysis = analyze(g)
+    return analysis.strong_count, analysis.weak_count
 
 
 def _sigma(f: Factorization) -> Factorization:
@@ -266,8 +309,7 @@ def decide_weak_equivalence(f1: Factorization, f2: Factorization) -> bool:
     if decide_strong_equivalence(f1, f2):
         return True
     g = f1.product
-    cls = classify(g)
-    if cls.kind.startswith("elliptic"):
+    if analyze(g).cls.kind.startswith("elliptic"):
         # centralizer is generated by g itself; conjugation by g is an
         # even power of the Hurwitz move, already covered
         return False
@@ -298,15 +340,13 @@ class FactorizationRealityReport:
 
 def factorization_reality(g: GroupElement) -> FactorizationRealityReport:
     """Which strong classes of 2-factorizations of g are real."""
-    if not exists_2factorization(g):
+    analysis = analyze(g)
+    if not analysis.strong_count:
         return FactorizationRealityReport(False, reason="no 2-factorization exists")
-    cls = classify(g)
-    if cls.kind == "elliptic_order3_pos" or (cls.kind == "parabolic" and cls.index == 2):
+    if analysis.family != "axis":
         return FactorizationRealityReport(True, classes=("real",), real_structure_count=2)
-    diagram = _class_diagram(cls)
-    axes = para_symmetries(diagram)
-    reflections = len(reflection_symmetries(diagram))
-    if cls.kind == "parabolic":
+    reflections = len(analysis.reflections)
+    if analysis.cls.kind == "parabolic":
         # the L^4 class: both classes real, two of the four reflections
         # preserve each of them and the two others swap them
         return FactorizationRealityReport(
@@ -316,8 +356,8 @@ def factorization_reality(g: GroupElement) -> FactorizationRealityReport:
         return FactorizationRealityReport(
             False, reason="element is not real", real_structure_count=0
         )
-    if len(axes) == 1:
-        a_word = axis_word(diagram, axes[0])
+    if len(analysis.symmetries) == 1:
+        a_word = axis_word(analysis.diagram, analysis.symmetries[0])
         assert a_word == a_word[::-1], "real one-axis element with non-palindromic wing"
         return FactorizationRealityReport(
             True, classes=("real",), real_structure_count=reflections

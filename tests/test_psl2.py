@@ -59,6 +59,26 @@ def test_evaluate_examples():
     assert evaluate("L^-3") == evaluate("L") ** -3
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from("LRXY"), st.integers(min_value=-7, max_value=7)),
+        max_size=12,
+    )
+)
+def test_evaluate_matches_letter_by_letter_product(tokens):
+    # runs of one generator are merged and powered in closed form; the
+    # reference multiplies one generator (or its inverse) at a time
+    word = "".join(f"{gen}^{exp}" for gen, exp in tokens)
+    expected = IDENTITY
+    for gen, exp in tokens:
+        letter = {"L": L, "R": R, "X": X, "Y": Y}[gen]
+        step = letter if exp >= 0 else letter.inverse()
+        for _ in range(abs(exp)):
+            expected = expected * step
+    assert evaluate(word) == expected
+
+
 def test_evaluate_rejects_garbage():
     with pytest.raises(ParseError):
         evaluate("L Q")
