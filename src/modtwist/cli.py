@@ -1,10 +1,10 @@
 """Command-line interface with machine-readable JSON output.
 
 Exit codes: 0 success, 2 parse error, 3 domain error (precondition
-violation), 4 budget exceeded.  Output is a single JSON document on
-stdout with sorted keys; --pretty switches to indented rendering.  The
-word budget for enumeration can be overridden with the MODTWIST_BUDGET
-environment variable.
+violation), 4 budget exceeded or memory exhausted.  Output is a single
+JSON document on stdout with sorted keys; --pretty switches to indented
+rendering.  The word budget for enumeration can be overridden with the
+MODTWIST_BUDGET environment variable.
 """
 
 from __future__ import annotations
@@ -209,6 +209,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
     except BudgetError as exc:
         sys.stderr.write(f"budget exceeded: {exc}\n")
+        return 4
+    except MemoryError:
+        sys.stderr.write("memory exhausted\n")
         return 4
     except DomainError as exc:
         sys.stderr.write(f"domain error: {exc}\n")

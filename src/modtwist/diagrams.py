@@ -19,10 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from math import gcd
 from typing import Optional, Union
 
-from .errors import DomainError
+from .errors import DomainError, VerificationError
 
 __all__ = [
     "CyclicDiagram",
@@ -137,7 +138,11 @@ def axis_word(diagram: CyclicDiagram, axis: Union[ParaSymmetry, int]) -> str:
 
 
 def _axis_reading(diagram: CyclicDiagram, anchor_start: int) -> str:
-    """Read L.L.A.L.L.At starting at the given anchor pair; returns A."""
+    """Read L.L.A.L.L.At starting at the given anchor pair; returns A.
+
+    The only reader of the wing A.  Callers pass anchors of para-symmetries,
+    so a failed reading is a broken invariant, not bad input.
+    """
     w = diagram.rotated(anchor_start)
     m = len(w)
     k = (m - 4) // 2
@@ -145,7 +150,7 @@ def _axis_reading(diagram: CyclicDiagram, anchor_start: int) -> str:
     if not (
         w[:2] == "LL" and w[2 + k : 4 + k] == "LL" and w[4 + k :] == word_transpose(a)
     ):
-        raise DomainError(f"position {anchor_start} is not an anchor pair")
+        raise VerificationError(f"{w} is not read as L.L.A.L.L.At at {anchor_start}")
     return a
 
 
@@ -219,14 +224,15 @@ def recognize(diagram: CyclicDiagram) -> DiagramForm:
         return DiagramForm("no_axis")
     if len(symmetries) == 1:
         return DiagramForm("one_axis")
-    assert len(symmetries) == 2, "more than two para-symmetries"
+    if len(symmetries) != 2:
+        raise VerificationError(f"{diagram.letters} has more than two para-symmetries")
     s1, s2 = symmetries
     anchors1 = {j for start in s1.anchor_starts for j in (start, (start + 1) % len(diagram))}
     anchors2 = {j for start in s2.anchor_starts for j in (start, (start + 1) % len(diagram))}
     if anchors1 & anchors2:
         m = (len(diagram) - 4) // 4
         if diagram != build_shared_axis_diagram(m):
-            raise AssertionError(
+            raise VerificationError(
                 f"shared-anchor diagram {diagram.letters} is not the chain with m={m}"
             )
         return DiagramForm("shared_axes", m=m)
@@ -240,7 +246,7 @@ def _recognize_disjoint(
     shift = (s2.axis - s1.axis) % m_len
     n = m_len // gcd(m_len, shift)
     if n % 2 == 0 or n < 3 or m_len % (2 * n):
-        raise AssertionError(f"bad rotation order {n} for {diagram.letters}")
+        raise VerificationError(f"bad rotation order {n} for {diagram.letters}")
     insert_len = m_len // (2 * n) - 2
     base = _rotation_base_word(n)
     two_n = 2 * n
@@ -263,31 +269,23 @@ def _recognize_disjoint(
             if pattern == "".join(base[(num * i) % two_n] for i in range(two_n)):
                 candidates.append((Fraction(num, n), b_word))
     if not candidates:
-        raise AssertionError(
+        raise VerificationError(
             f"two disjoint para-symmetries but no disjoint-axes form: {diagram.letters}"
         )
     q, insert = min(candidates)
     return DiagramForm("disjoint_axes", q=q, insert=insert)
 
 
-def _cyclic_runs(word: str) -> list[tuple[str, int]]:
-    """Run-length encoding of the cyclic word (wrap-around run merged)."""
-    if len(set(word)) == 1:
-        return [(word[0], len(word))]
-    start = next(i for i in range(len(word)) if word[i] != word[i - 1])
-    w = word[start:] + word[:start]
-    runs = []
-    for ch in w:
-        if runs and runs[-1][0] == ch:
-            runs[-1] = (ch, runs[-1][1] + 1)
-        else:
-            runs.append((ch, 1))
-    return runs
+def _cyclic_runs(word: str) -> list[int]:
+    """Run lengths of the cyclic word, starting at a run boundary so the
+    wrap-around run is read whole."""
+    start = next((i for i in range(len(word)) if word[i] != word[i - 1]), 0)
+    return [len(list(run)) for _, run in groupby(word[start:] + word[:start])]
 
 
 def cutting_period_cycle(diagram: CyclicDiagram) -> tuple[int, ...]:
     """The run-length cycle [a1, ..., a2n] of the diagram."""
-    return tuple(length for _, length in _cyclic_runs(diagram.letters))
+    return tuple(_cyclic_runs(diagram.letters))
 
 
 def is_even_word(word: Union[str, CyclicDiagram]) -> bool:
@@ -296,4 +294,4 @@ def is_even_word(word: Union[str, CyclicDiagram]) -> bool:
     if not letters:
         return True
     _validate_letters(letters)
-    return all(length % 2 == 0 for _, length in _cyclic_runs(letters))
+    return all(length % 2 == 0 for length in _cyclic_runs(letters))

@@ -5,8 +5,16 @@ product is g.  Strong equivalence is generated by the single Hurwitz move
 (m1, m2) -> (m1 m2 m1^-1, m1); weak equivalence allows an additional
 global conjugation.  Since the braid group on two strands is infinite
 cyclic, the strong orbit of a pair is the bi-infinite sequence of
-iterated Hurwitz moves, and the square of the move acts by conjugation by
-the product; this makes strong equivalence decidable by a bounded walk.
+iterated Hurwitz moves, and the square of the move conjugates the pair by
+its product g.  Every other pair along the walk therefore has its first
+twist vector in one <g>-orbit, whose norms p^2 + q^2 follow
+A mu^k + B mu^-k + C for hyperbolic g (both coefficients positive, since
+an integer vector is never an eigenvector) and a quadratic in k for
+parabolic g: a strictly convex function of k.  Once such a norm has risen
+it keeps rising, and each pair shares a factor with its neighbour on the
+walk, which makes strong equivalence decidable by an exact walk (see
+decide_strong_equivalence).  A finite orbit holds one pair (equal twists)
+or three (g conjugate to X, the only elliptic product of two twists).
 
 Existence and the count of strong classes are governed by the
 para-symmetries of the cyclic diagram: an element is 2-factorizable iff
@@ -26,10 +34,9 @@ from typing import Iterator, Optional
 from .diagrams import (
     CyclicDiagram,
     ParaSymmetry,
-    axis_word,
+    _axis_reading,
     para_symmetries,
     reflection_symmetries,
-    word_transpose,
 )
 from .errors import DomainError, VerificationError
 from .psl2 import (
@@ -96,10 +103,6 @@ class Factorization:
 
     def conjugated_by(self, h: GroupElement) -> "Factorization":
         return Factorization(tuple(f.conjugated_by(h) for f in self.factors))
-
-    @property
-    def max_entry(self) -> int:
-        return max(f.max_entry for f in self.factors)
 
 
 def pair(m1: GroupElement, m2: GroupElement) -> Factorization:
@@ -198,10 +201,7 @@ class Analysis:
         for sym in self.symmetries:
             anchor = min(sym.anchor_starts)
             rotated = self.diagram.rotated(anchor)
-            k = (len(canon) - 4) // 2
-            a_word = rotated[2 : 2 + k]
-            if rotated != "LL" + a_word + "LL" + word_transpose(a_word):
-                raise VerificationError(f"{rotated} is not read as L.L.A.L.L.At at {anchor}")
+            a_word = _axis_reading(self.diagram, anchor)
             first = X * L.inverse() * X.inverse()
             wing = Y * evaluate(a_word) * X
             second = wing * L.inverse() * wing.inverse()
@@ -211,6 +211,19 @@ class Analysis:
             conj = evaluate(canon[:anchor]).inverse() * h
             fact = pair(first, second).conjugated_by(conj)
             yield _verify(fact, g), StrongClassLabel("axis", axis=sym.axis, anchor=anchor)
+
+    def locate(self, fact: Factorization) -> int:
+        """Index of the one canonical strong class that holds the pair fact."""
+        matches = [
+            i
+            for i, (canonical, _) in enumerate(self.canonical)
+            if decide_strong_equivalence(fact, canonical)
+        ]
+        if len(matches) != 1:
+            raise VerificationError(
+                f"{fact} lies in {len(matches)} strong classes of {self.element}"
+            )
+        return matches[0]
 
     @cached_property
     def reflections(self) -> tuple[int, ...]:
@@ -261,44 +274,40 @@ def count_classes(g: GroupElement) -> tuple[int, int]:
     return analysis.strong_count, analysis.weak_count
 
 
-def _sigma(f: Factorization) -> Factorization:
-    return hurwitz_move(f, 1, 1)
-
-
-def _sigma_inv(f: Factorization) -> Factorization:
-    return hurwitz_move(f, 1, -1)
-
-
-# Walk cutoff: the square of the Hurwitz move conjugates by the product, so
-# entry norms along the orbit eventually grow without bound unless the orbit
-# is finite; we stop a direction only after the norm exceeds the threshold
-# this many times in a row, to ride out non-monotone dips.
-_EXCEED_STREAK = 8
-_WALK_CAP = 100_000
+def _norm(twist: GroupElement) -> int:
+    """p^2 + q^2 for the twist +-[[1 - pq, -q^2], [p^2, 1 + pq]]."""
+    return abs(twist.b) + abs(twist.c)
 
 
 def decide_strong_equivalence(f1: Factorization, f2: Factorization) -> bool:
-    """True iff f1 and f2 are related by Hurwitz moves alone."""
+    """True iff f1 and f2 are related by Hurwitz moves alone.
+
+    Walks f1 both ways along its strong orbit.  On an infinite orbit the
+    first-factor norms at every other step are strictly convex (see the
+    module docstring), so once the norm at step s has risen over step s - 2,
+    it keeps rising at the later steps of that parity.  A later pair of the
+    other parity has as a factor the first factor of an adjacent step of
+    that parity, at or beyond s, since the move (a, b) -> (a b a^-1, a)
+    keeps a.  So once the norm at step s also exceeds the norms of both
+    factors of f2, no later pair can be f2 and the direction stops.  A
+    finite orbit has at most three pairs, each at most one move from f1
+    one way or the other, so the cutoff, which needs two moves, skips none.
+    """
     if len(f1) != 2 or len(f2) != 2:
         raise DomainError("strong equivalence is implemented for pairs")
     if f1.product != f2.product:
         raise DomainError("strong equivalence preserves the product; products differ")
-    threshold = 4 * max(f1.max_entry, f2.max_entry) + 64
-    for step in (_sigma, _sigma_inv):
-        cur = f1
-        streak = 0
-        for _ in range(_WALK_CAP):
+    target = max(_norm(m) for m in f2.factors)
+    for direction in (1, -1):
+        cur, norms = f1, [_norm(f1.factors[0])]
+        while not (len(norms) > 2 and norms[-3] < norms[-1] > target):
             if cur == f2:
                 return True
-            cur = step(cur)
+            cur = hurwitz_move(cur, 1, direction)
             if cur == f1:
                 # finite orbit, fully explored
                 return False
-            streak = streak + 1 if cur.max_entry > threshold else 0
-            if streak >= _EXCEED_STREAK:
-                break
-        else:
-            raise AssertionError("Hurwitz walk failed to terminate")
+            norms.append(_norm(cur.factors[0]))
     return False
 
 
@@ -357,8 +366,9 @@ def factorization_reality(g: GroupElement) -> FactorizationRealityReport:
             False, reason="element is not real", real_structure_count=0
         )
     if len(analysis.symmetries) == 1:
-        a_word = axis_word(analysis.diagram, analysis.symmetries[0])
-        assert a_word == a_word[::-1], "real one-axis element with non-palindromic wing"
+        a_word = _axis_reading(analysis.diagram, min(analysis.symmetries[0].anchor_starts))
+        if a_word != a_word[::-1]:
+            raise VerificationError(f"real one-axis element {g} has a non-palindromic wing")
         return FactorizationRealityReport(
             True, classes=("real",), real_structure_count=reflections
         )

@@ -20,8 +20,10 @@ alternating per run.
 
 from __future__ import annotations
 
+from itertools import groupby
+
 from .diagrams import CyclicDiagram, is_even_word, recognize, word_transpose
-from .errors import DomainError, ParseError
+from .errors import DomainError, ParseError, VerificationError
 from .necklace import NecklaceClass, canonicalize
 from .psl2 import ConjugacyClass, classify
 from .skeleton import PseudoTree, monodromy_at_infinity
@@ -134,18 +136,13 @@ def _stones_from_even_cutting(letters: str) -> str:
     start = next(
         i for i in range(len(letters)) if letters[i] == "L" and letters[i - 1] == "R"
     )
-    rotated = letters[start:] + letters[:start]
-    runs = []
-    for ch in rotated:
-        if runs and runs[-1][0] == ch:
-            runs[-1][1] += 1
-        else:
-            runs.append([ch, 1])
+    runs = [(ch, len(list(run))) for ch, run in groupby(letters[start:] + letters[:start])]
     stones = []
     kind = "S"
     other = {"S": "O", "O": "S"}
     for (letter_l, a), (letter_r, b) in zip(runs[0::2], runs[1::2]):
-        assert letter_l == "L" and letter_r == "R" and a % 2 == 0 and b % 2 == 0
+        if letter_l != "L" or letter_r != "R" or a % 2 or b % 2:
+            raise VerificationError(f"cutting word {letters} is not even")
         stones.append(kind * (a + 1))
         kind = other[kind]
         for _ in range(b // 2 - 1):

@@ -28,12 +28,11 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import BudgetError, DomainError, VerificationError
+from .errors import BudgetError, DomainError
 from .factorization import (
     Factorization,
     StrongClassLabel,
     analyze,
-    decide_strong_equivalence,
     exists_2factorization,
     strong_class_labels,
 )
@@ -370,32 +369,20 @@ class _PendantTransport:
 
     A move depends only on the monodromy, the class index and, for a
     shift, the wrapped stone, so each is located once and memoized; the
-    classes themselves are read from the shared analyze(g).
+    classes themselves are read from, and located by, the shared analyze(g).
     """
 
     def __init__(self):
         self._shifts: dict[tuple, tuple[GroupElement, int]] = {}
         self._inverses: dict[tuple, tuple[GroupElement, int]] = {}
 
-    def _locate(self, fact: Factorization) -> tuple[GroupElement, int]:
-        g = fact.product
-        matches = [
-            i
-            for i, (canonical, _) in enumerate(analyze(g).canonical)
-            if decide_strong_equivalence(fact, canonical)
-        ]
-        if len(matches) != 1:
-            raise VerificationError(
-                f"transported factorization matches {len(matches)} strong classes of {g}"
-            )
-        return g, matches[0]
-
     def shifted(self, word: str, g: GroupElement, idx: int) -> tuple[str, GroupElement, int]:
         key = (g, idx, word[0])
         if key not in self._shifts:
             conj = STONE_MONODROMY[word[0]]
             fact, _ = analyze(g).canonical[idx]
-            self._shifts[key] = self._locate(fact.conjugated_by(conj))
+            moved = fact.conjugated_by(conj)
+            self._shifts[key] = (moved.product, analyze(moved.product).locate(moved))
         return (shift(word), *self._shifts[key])
 
     def inverted(self, word: str, g: GroupElement, idx: int) -> tuple[str, GroupElement, int]:
@@ -404,7 +391,7 @@ class _PendantTransport:
             fact, _ = analyze(g).canonical[idx]
             m1, m2 = fact.factors
             moved = Factorization((real_involution(TAU1, m2), real_involution(TAU1, m1)))
-            self._inverses[key] = self._locate(moved)
+            self._inverses[key] = (moved.product, analyze(moved.product).locate(moved))
         return (inverse(word), *self._inverses[key])
 
 

@@ -38,7 +38,10 @@ class QuotientReport:
     solution_count: int
 
     def __post_init__(self):
-        assert self.solvable == (self.solution_count > 0)
+        if self.solvable != (self.solution_count > 0):
+            raise DomainError(
+                f"solvable={self.solvable} contradicts {self.solution_count} solutions"
+            )
 
 
 @lru_cache(maxsize=None)

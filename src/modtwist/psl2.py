@@ -33,7 +33,7 @@ from functools import lru_cache
 from typing import Optional
 
 from .diagrams import CyclicDiagram, canonical_rotation, reflection_symmetries
-from .errors import DomainError, ParseError
+from .errors import DomainError, ParseError, VerificationError
 
 __all__ = [
     "GroupElement",
@@ -118,10 +118,6 @@ class GroupElement:
     def trace(self) -> int:
         """Trace of the normalized lift (defined up to sign in PSL)."""
         return self.a + self.d
-
-    @property
-    def max_entry(self) -> int:
-        return max(abs(self.a), abs(self.b), abs(self.c), abs(self.d))
 
     def matrix(self) -> tuple[tuple[int, int], tuple[int, int]]:
         return ((self.a, self.b), (self.c, self.d))
@@ -415,7 +411,8 @@ def _classify_full(g: GroupElement):
         u = u * Y
         syl = syl[1:] + [syl[0]]
     letters = "".join("L" if exp == 1 else "R" for gen, exp in syl if gen == "X")
-    assert 2 * len(letters) == len(syl)
+    if 2 * len(letters) != len(syl):
+        raise VerificationError(f"cyclic reduction of {g} does not alternate")
     if "R" not in letters:
         return ConjugacyClass("parabolic", index=-len(letters)), u, letters
     if "L" not in letters:
@@ -538,13 +535,28 @@ def primitive_root(g: GroupElement) -> tuple[GroupElement, int]:
         )
     n = len(canon) // period
     root = evaluate(canon[:period]).conjugated_by(h)
-    assert root**n == g
+    if root**n != g:
+        raise VerificationError(f"{root}^{n} is not {g}")
     return root, n
 
 
-_DEGREE = {("X", 1): 2, ("X", 2): 4, ("Y", 1): 3}
+# degrees of the elliptic class representatives identity, Y, X, X^2
+_ELLIPTIC_DEGREE = {
+    "identity": 0,
+    "elliptic_order2": 3,
+    "elliptic_order3_pos": 2,
+    "elliptic_order3_neg": 4,
+}
 
 
 def abelian_degree(g: GroupElement) -> int:
-    """Image of g under the abelianization PSL(2,Z) ->> Z6 with deg R = 1."""
-    return sum(_DEGREE[s] for s in normal_form(g).syllables) % 6
+    """Image of g under the abelianization PSL(2,Z) ->> Z6 with deg R = 1.
+
+    The degree is a class function: deg L = -1, so a cutting word has
+    degree #R - #L, and the elliptic classes have fixed degrees.
+    """
+    cls = classify(g)
+    word = cls.diagram_word
+    if word is None:
+        return _ELLIPTIC_DEGREE[cls.kind]
+    return (word.count("R") - word.count("L")) % 6

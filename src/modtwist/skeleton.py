@@ -15,12 +15,13 @@ canonical class, "right" for the second.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Union
 
-from .diagrams import word_transpose
+from .diagrams import _axis_reading, word_transpose
 from .errors import DomainError
-from .factorization import canonical_2factorizations, decide_strong_equivalence, pair, strong_class_labels
-from .psl2 import GroupElement, TwistVector, classify, dehn_twist, evaluate
+from .factorization import analyze, pair
+from .psl2 import GroupElement, TwistVector, dehn_twist, evaluate
 
 __all__ = [
     "PseudoTree",
@@ -93,22 +94,10 @@ def from_twists(
     if wedge == 0:
         return CYCLIC
     fact = pair(dehn_twist(u), dehn_twist(v))
-    g = fact.product
-    cls = classify(g)
-    assert cls.kind == "hyperbolic" or (cls.kind == "parabolic" and cls.index == -4)
-    matches = [
-        (i, label)
-        for i, (canonical, label) in enumerate(
-            zip(canonical_2factorizations(g), strong_class_labels(g))
-        )
-        if decide_strong_equivalence(fact, canonical)
-    ]
-    assert len(matches) == 1, "pair matches a unique strong class"
-    idx, label = matches[0]
-    word = cls.diagram_word
-    rotated = word[label.anchor :] + word[: label.anchor]
-    k = (len(word) - 4) // 2
-    a_word = rotated[2 : 2 + k]
+    analysis = analyze(fact.product)
+    idx = analysis.locate(fact)
+    _, label = analysis.canonical[idx]
+    a_word = _axis_reading(analysis.diagram, label.anchor)
     tree = PseudoTree(a_word.translate(_LETTER_TO_BRANCH))
     return MarkedPseudoTree(tree, "left" if idx == 0 else "right")
 
@@ -128,10 +117,4 @@ def isomorphic(
 
 def is_even_tree(tree: PseudoTree) -> bool:
     """True iff the up/down branches come in adjacent equal pairs."""
-    runs = []
-    for ch in tree.branches:
-        if runs and runs[-1][0] == ch:
-            runs[-1][1] += 1
-        else:
-            runs.append([ch, 1])
-    return all(count % 2 == 0 for _, count in runs)
+    return all(len(list(run)) % 2 == 0 for _, run in groupby(tree.branches))

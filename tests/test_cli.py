@@ -80,6 +80,16 @@ def test_factorize_rejects_a_wrong_representative(monkeypatch):
         main(["factorize", "L^4"])
 
 
+def test_out_of_memory_exits_4(capsys, monkeypatch):
+    def exhausted(g):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "classify", exhausted)
+    code, out, err = run_cli(capsys, "classify", "R")
+    assert (code, out) == (4, "")
+    assert "memory" in err
+
+
 def test_necklace_enumerate(capsys, tmp_path):
     out_file = tmp_path / "reps.tsv"
     code, out, _ = run_cli(

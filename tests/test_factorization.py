@@ -150,6 +150,52 @@ def test_strong_orbit_membership():
         assert decide_strong_equivalence(current, f)
 
 
+def _max_entry(f):
+    return max(max(abs(m.a), abs(m.b), abs(m.c), abs(m.d)) for m in f.factors)
+
+
+def _streak_walk(f1, f2):
+    """Reference: the bounded walk that decided strong equivalence before the
+    exact cutoff.  A direction stops after eight moves in a row whose pair has
+    an entry above 4 * (largest entry of f1 and f2) + 64."""
+    threshold = 4 * max(_max_entry(f1), _max_entry(f2)) + 64
+    for direction in (1, -1):
+        cur, streak = f1, 0
+        while streak < 8:
+            if cur == f2:
+                return True
+            cur = hurwitz_move(cur, 1, direction)
+            if cur == f1:
+                return False
+            streak = streak + 1 if _max_entry(cur) > threshold else 0
+    return False
+
+
+def test_locate_agrees_with_the_streak_walk():
+    for i, (u, v, g) in enumerate(oracle_products(8)):
+        analysis = analyze(g)
+        fact = pair(dehn_twist(u), dehn_twist(v))
+        # a second copy moved by 1..10 Hurwitz moves, alternating in direction
+        shift = (i % 10 + 1) * (1 if i % 20 < 10 else -1)
+        moved = fact
+        for _ in range(abs(shift)):
+            moved = hurwitz_move(moved, 1, shift)
+        for f in (fact, moved):
+            reference = [
+                j for j, (canonical, _) in enumerate(analysis.canonical)
+                if _streak_walk(f, canonical)
+            ]
+            assert reference == [analysis.locate(f)], (u, v, shift)
+
+
+def test_locate_raises_unless_one_class_matches(monkeypatch):
+    f1, f2 = canonical_2factorizations(evaluate("L^4"))
+    assert [analyze(f1.product).locate(f) for f in (f1, f2)] == [0, 1]
+    monkeypatch.setattr(factorization, "decide_strong_equivalence", lambda a, b: True)
+    with pytest.raises(VerificationError):
+        analyze(f1.product).locate(f1)
+
+
 def test_equal_twists_orbit_is_fixed():
     f = pair(R, R)
     assert hurwitz_move(f, 1) == f

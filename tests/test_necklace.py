@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from modtwist import necklace
+from modtwist import factorization
 from modtwist.errors import BudgetError, DomainError, VerificationError
 from modtwist.factorization import (
     Factorization,
@@ -244,7 +244,7 @@ def test_enumeration_deterministic():
 
 
 def test_transport_mismatch_raises(monkeypatch):
-    monkeypatch.setattr(necklace, "decide_strong_equivalence", lambda f1, f2: False)
+    monkeypatch.setattr(factorization, "decide_strong_equivalence", lambda f1, f2: False)
     with pytest.raises(VerificationError):
         enumerate_classes(1, 2)
 

@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -19,3 +20,14 @@ def test_no_runtime_dependencies():
     pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
     project = tomllib.loads(pyproject.read_text())["project"]
     assert project.get("dependencies", []) == []
+
+
+def test_no_asserts_in_the_package():
+    # python -O strips assert statements, so result checks raise instead
+    for path in sorted(Path(modtwist.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            assert not isinstance(node, ast.Assert), f"{path.name}:{node.lineno}"
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                name = getattr(exc, "id", None)
+                assert name != "AssertionError", f"{path.name}:{node.lineno}"

@@ -316,6 +316,19 @@ def test_primitive_root():
         primitive_root(IDENTITY)
 
 
+def _syllable_degree(g):
+    """Reference: sum the degrees of X (2), X^2 (4) and Y (3) over the normal form."""
+    degree = {("X", 1): 2, ("X", 2): 4, ("Y", 1): 3}
+    return sum(degree[s] for s in normal_form(g).syllables) % 6
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(["L", "R", "X", "Y", "L^-1", "R^-1", "X^2"]), max_size=20))
+def test_abelian_degree_matches_the_syllable_sum(tokens):
+    g = evaluate(" ".join(tokens))
+    assert abelian_degree(g) == _syllable_degree(g)
+
+
 def test_abelian_degree():
     assert abelian_degree(R) == 1
     assert abelian_degree(L) == 5
