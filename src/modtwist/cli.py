@@ -1,7 +1,10 @@
 """Command-line interface with machine-readable JSON output.
 
-Exit codes: 0 success, 2 parse error, 3 domain error (precondition
-violation), 4 budget exceeded or memory exhausted.  Output is a single
+Exit codes: 0 success, 2 parse error (an integer literal past the
+interpreter's digit limit included), 3 domain error (precondition
+violation), 4 budget exceeded (the entry-size cap of psl2.normal_form
+and a result integer past the digit limit included) or memory
+exhausted.  Output is a single
 JSON document on stdout with sorted keys; --pretty switches to indented
 rendering.  The word budget for enumeration can be overridden with the
 MODTWIST_BUDGET environment variable.
@@ -39,10 +42,15 @@ __all__ = ["main"]
 
 
 def _emit(payload: dict, pretty: bool) -> None:
-    if pretty:
-        text = json.dumps(payload, indent=2, sort_keys=True)
-    else:
-        text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    try:
+        if pretty:
+            text = json.dumps(payload, indent=2, sort_keys=True)
+        else:
+            text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    except ValueError:
+        # the only ValueError json raises here: an integer in the result
+        # past the interpreter's digit limit for int -> str conversion
+        raise BudgetError("an integer in the result exceeds the digit limit") from None
     sys.stdout.write(text + "\n")
 
 
@@ -203,7 +211,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        payload = args.func(args)
+        _emit(args.func(args), args.pretty)
     except ParseError as exc:
         sys.stderr.write(f"parse error: {exc}\n")
         return 2
@@ -216,7 +224,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     except DomainError as exc:
         sys.stderr.write(f"domain error: {exc}\n")
         return 3
-    _emit(payload, args.pretty)
     return 0
 
 

@@ -113,12 +113,20 @@ def para_symmetries(diagram: CyclicDiagram) -> tuple[ParaSymmetry, ...]:
 
 
 def reflection_symmetries(diagram: CyclicDiagram) -> tuple[int, ...]:
-    """Axes c of all reflections i -> c - i preserving every letter."""
+    """Axes c of all reflections i -> c - i preserving every letter.
+
+    The reflection at c preserves w iff w occurs in the doubled reverse of w
+    at offset m - 1 - c.  Those offsets repeat with the primitive period p
+    of w, so one search below p finds them all.
+    """
     w = diagram.letters
     m = len(w)
-    return tuple(
-        c for c in range(m) if all(w[(c - i) % m] == w[i] for i in range(m))
-    )
+    period = (w + w).find(w, 1)
+    reverse = w[::-1]
+    first = (reverse + reverse).find(w, 0, period + m - 1)
+    if first < 0:
+        return ()
+    return tuple(sorted(m - 1 - s for s in range(first, m, period)))
 
 
 def axis_word(diagram: CyclicDiagram, axis: Union[ParaSymmetry, int]) -> str:
@@ -250,6 +258,12 @@ def _recognize_disjoint(
     insert_len = m_len // (2 * n) - 2
     base = _rotation_base_word(n)
     two_n = 2 * n
+    # the l/r block pattern of each admissible numerator, built once
+    numerators: dict[str, list[int]] = {}
+    for num in range(1, n, 2):
+        if gcd(num, n) == 1:
+            pattern = "".join(base[(num * i) % two_n] for i in range(two_n))
+            numerators.setdefault(pattern, []).append(num)
     candidates = []
     for rot in range(m_len):
         v = diagram.rotated(rot)
@@ -263,11 +277,7 @@ def _recognize_disjoint(
         if any(inserts[i] != (b_word if i % 2 == 0 else b_word_t) for i in range(two_n)):
             continue
         pattern = "".join("l" if b == "LL" else "r" for b in blocks)
-        for num in range(1, n, 2):
-            if gcd(num, n) != 1:
-                continue
-            if pattern == "".join(base[(num * i) % two_n] for i in range(two_n)):
-                candidates.append((Fraction(num, n), b_word))
+        candidates += [(Fraction(num, n), b_word) for num in numerators.get(pattern, ())]
     if not candidates:
         raise VerificationError(
             f"two disjoint para-symmetries but no disjoint-axes form: {diagram.letters}"

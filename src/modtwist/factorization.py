@@ -54,6 +54,7 @@ from .psl2 import (
     dehn_twist,
     evaluate,
     primitive_root,
+    product,
     twist_vector,
 )
 
@@ -89,10 +90,7 @@ class Factorization:
 
     @property
     def product(self) -> GroupElement:
-        result = IDENTITY
-        for f in self.factors:
-            result = result * f
-        return result
+        return product(self.factors)
 
     @property
     def vectors(self) -> tuple[TwistVector, ...]:

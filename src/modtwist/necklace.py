@@ -42,6 +42,7 @@ from .psl2 import (
     GroupElement,
     Y,
     evaluate,
+    product,
     real_involution,
     twist_vector,
 )
@@ -104,10 +105,7 @@ def validate_stone_word(word: str) -> str:
 def monodromy(word: str) -> GroupElement:
     """Product of the stone monodromies, in word order."""
     validate_stone_word(word)
-    result = IDENTITY
-    for stone in word:
-        result = result * STONE_MONODROMY[stone]
-    return result
+    return product(map(STONE_MONODROMY.__getitem__, word))
 
 
 def twisted_monodromy(word: str) -> GroupElement:

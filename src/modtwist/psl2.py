@@ -20,8 +20,13 @@ so twist(1, 0) = R and twist(0, 1) = L^-1; positive twists form the
 conjugacy class of R, and L lies in the *inverse* twist class.
 
 Elements of PSL(2,Z) are stored as the SL(2,Z) lift whose first nonzero
-entry in reading order (a, b, c, d) is positive.  Python integers are
-unbounded, so no overflow handling is needed anywhere.
+entry in reading order (a, b, c, d) is positive.  A GroupElement is an
+immutable tuple of those entries, so ``a, b, c, d = g`` unpacks it and
+``g == (a, b, c, d)`` holds; a TwistVector is the tuple (p, q) likewise.
+The tuple's concatenation, repetition and ordering raise TypeError, and
+``g * h`` is the group product.  Python integers are unbounded, so no
+overflow handling is needed anywhere; an element whose normal form would
+exceed QUOTIENT_SUM_CAP L-steps is refused with BudgetError.
 """
 
 from __future__ import annotations
@@ -30,13 +35,15 @@ import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 from typing import Optional
 
 from .diagrams import CyclicDiagram, canonical_rotation, reflection_symmetries
-from .errors import DomainError, ParseError, VerificationError
+from .errors import BudgetError, DomainError, ParseError, VerificationError
 
 __all__ = [
     "GroupElement",
+    "product",
     "TwistVector",
     "SyllableWord",
     "ConjugacyClass",
@@ -63,41 +70,47 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GroupElement:
-    """An element of PSL(2,Z), stored as a sign-normalized det-1 matrix."""
+def _no_tuple_operator(self, other):
+    """Stands in for the tuple's concatenation, repetition and ordering,
+    which mean nothing for a group element or a twist vector."""
+    raise TypeError(f"operation not defined for {type(self).__name__}")
 
-    a: int
-    b: int
-    c: int
-    d: int
 
-    def __post_init__(self):
-        if self.a * self.d - self.b * self.c != 1:
-            raise DomainError(
-                "matrix determinant must be 1, got %d"
-                % (self.a * self.d - self.b * self.c)
-            )
-        for entry in (self.a, self.b, self.c, self.d):
-            if entry > 0:
-                break
-            if entry < 0:
-                object.__setattr__(self, "a", -self.a)
-                object.__setattr__(self, "b", -self.b)
-                object.__setattr__(self, "c", -self.c)
-                object.__setattr__(self, "d", -self.d)
-                break
+class GroupElement(tuple):
+    """An element of PSL(2,Z), stored as a sign-normalized det-1 matrix.
+
+    An immutable tuple (a, b, c, d): equality and hashing are the tuple's.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, a: int, b: int, c: int, d: int) -> "GroupElement":
+        if a * d - b * c != 1:
+            raise DomainError("matrix determinant must be 1, got %d" % (a * d - b * c))
+        # det 1 rules out a == b == 0, so a or b is the first nonzero entry
+        if a < 0 or (a == 0 and b < 0):
+            a, b, c, d = -a, -b, -c, -d
+        return tuple.__new__(cls, (a, b, c, d))
+
+    a = property(itemgetter(0))
+    b = property(itemgetter(1))
+    c = property(itemgetter(2))
+    d = property(itemgetter(3))
+
+    def __getnewargs__(self):
+        return tuple(self)
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
-        return GroupElement(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
+        a, b, c, d = self
+        e, f, g, h = other
+        return GroupElement(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+    __add__ = __radd__ = __rmul__ = _no_tuple_operator
+    __lt__ = __le__ = __gt__ = __ge__ = _no_tuple_operator
 
     def inverse(self) -> "GroupElement":
-        return GroupElement(self.d, -self.b, -self.c, self.a)
+        a, b, c, d = self
+        return GroupElement(d, -b, -c, a)
 
     def __pow__(self, n: int) -> "GroupElement":
         base = self if n >= 0 else self.inverse()
@@ -117,13 +130,14 @@ class GroupElement:
     @property
     def trace(self) -> int:
         """Trace of the normalized lift (defined up to sign in PSL)."""
-        return self.a + self.d
+        return self[0] + self[3]
 
     def matrix(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        return ((self.a, self.b), (self.c, self.d))
+        a, b, c, d = self
+        return ((a, b), (c, d))
 
     def __repr__(self):
-        return f"GroupElement({self.a}, {self.b}, {self.c}, {self.d})"
+        return "GroupElement(%d, %d, %d, %d)" % self
 
 
 IDENTITY = GroupElement(1, 0, 0, 1)
@@ -135,19 +149,43 @@ R = GroupElement(1, 0, 1, 1)
 _X_POWERS = (IDENTITY, X, X * X)
 
 
-@dataclass(frozen=True)
-class TwistVector:
-    """A primitive integer vector (p, q), defined up to overall sign."""
+def product(elements) -> GroupElement:
+    """The product of the elements, in order; the empty product is IDENTITY.
 
-    p: int
-    q: int
+    Multiplies the entries as integers and builds one element at the end.
+    """
+    a, b, c, d = 1, 0, 0, 1
+    for e, f, g, h in elements:
+        a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+    return GroupElement(a, b, c, d)
 
-    def __post_init__(self):
-        if math.gcd(self.p, self.q) != 1:
-            raise DomainError(f"twist vector ({self.p}, {self.q}) is not primitive")
-        if self.p < 0 or (self.p == 0 and self.q < 0):
-            object.__setattr__(self, "p", -self.p)
-            object.__setattr__(self, "q", -self.q)
+
+class TwistVector(tuple):
+    """A primitive integer vector (p, q), defined up to overall sign.
+
+    An immutable tuple (p, q), like GroupElement.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, p: int, q: int) -> "TwistVector":
+        if math.gcd(p, q) != 1:
+            raise DomainError(f"twist vector ({p}, {q}) is not primitive")
+        if p < 0 or (p == 0 and q < 0):
+            p, q = -p, -q
+        return tuple.__new__(cls, (p, q))
+
+    p = property(itemgetter(0))
+    q = property(itemgetter(1))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    __add__ = __radd__ = __mul__ = __rmul__ = _no_tuple_operator
+    __lt__ = __le__ = __gt__ = __ge__ = _no_tuple_operator
+
+    def __repr__(self):
+        return "TwistVector(p=%d, q=%d)" % self
 
 
 @dataclass(frozen=True)
@@ -260,7 +298,11 @@ TAU1 = RealStructure(0, 1, 1, 0)
 TAU2 = RealStructure(1, 0, 0, -1)
 
 
-_TOKEN = re.compile(r"\s*([LRXY])(\^(-?\d+))?\s*")
+# the whole word; whitespace after a token belongs to that token, so the
+# match does not backtrack over ways to split it, and where it stops is the
+# first position that no token reaches
+_WORD = re.compile(r"\s*(?:[LRXY](?:\^-?\d+)?\s*)+")
+_WORD_TOKEN = re.compile(r"([LRXY])(?:\^(-?\d+))?")
 
 
 def evaluate(word: str) -> GroupElement:
@@ -269,23 +311,28 @@ def evaluate(word: str) -> GroupElement:
     Tokens may be juxtaposed or whitespace-separated: "R L^-1", "RL^-1"
     and "X^3" are all valid.  The empty word is the identity.
     """
+    m = _WORD.match(word)
+    pos = m.end() if m else 0
+    if pos != len(word):
+        raise ParseError(f"unexpected input at position {pos}: {word[pos:]!r}")
     runs: list[list] = []  # [generator, summed exponent] per run of one generator
-    pos = 0
-    while pos < len(word):
-        m = _TOKEN.match(word, pos)
-        if not m:
-            raise ParseError(f"unexpected input at position {pos}: {word[pos:]!r}")
-        gen = m.group(1)
-        exp = int(m.group(3)) if m.group(3) is not None else 1
+    for gen, digits in _WORD_TOKEN.findall(word):
+        exp = _int_literal(digits) if digits else 1
         if runs and runs[-1][0] == gen:
             runs[-1][1] += exp
         else:
             runs.append([gen, exp])
-        pos = m.end()
-    result = IDENTITY
-    for gen, exp in runs:
-        result = result * _generator_power(gen, exp)
-    return result
+    return product(_generator_power(gen, exp) for gen, exp in runs)
+
+
+def _int_literal(digits: str) -> int:
+    """int(digits), with a literal past the interpreter's digit limit a ParseError."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(
+            f"integer literal of {len(digits.lstrip('-'))} digits exceeds the digit limit"
+        ) from None
 
 
 def _generator_power(gen: str, exp: int) -> GroupElement:
@@ -311,7 +358,7 @@ def parse_matrix(text: str) -> GroupElement:
     m = _MATRIX.match(text)
     if not m:
         raise ParseError(f"not a matrix literal: {text!r}")
-    a, b, c, d = map(int, m.groups())
+    a, b, c, d = map(_int_literal, m.groups())
     if a * d - b * c != 1:
         raise ParseError(f"matrix {text!r} has determinant {a * d - b * c}, not 1")
     return GroupElement(a, b, c, d)
@@ -324,15 +371,20 @@ def parse_element(text: str) -> GroupElement:
     return evaluate(text)
 
 
+# The cap on the sum of the absolute partial quotients of an element's
+# Euclidean peel, which bounds the length of its normal form and cutting
+# word; at the cap, classify "L^65536 R^65536" takes about 3 s (2-core VM,
+# Python 3.11), most of it in the quadratic canonical_rotation.
+QUOTIENT_SUM_CAP = 2**17
+
+
 def _push_syllable(stack: list, gen: str, exp: int) -> None:
+    """Append gen^exp to the reduced word on the stack, merging with its top."""
     order = 3 if gen == "X" else 2
-    exp %= order
-    if exp == 0:
-        return
     if stack and stack[-1][0] == gen:
-        prev_gen, prev_exp = stack.pop()
-        _push_syllable(stack, gen, prev_exp + exp)
-    else:
+        exp += stack.pop()[1]
+    exp %= order
+    if exp:
         stack.append((gen, exp))
 
 
@@ -341,31 +393,41 @@ def normal_form(g: GroupElement) -> SyllableWord:
 
     Works by the continued-fraction peeling g = L^(q1) Y L^(q2) Y ... L^(qk)
     (Euclidean algorithm on the first column), followed by the rewriting
-    L -> XY, L^-1 -> Y X^2 and free-product reduction.
+    L -> XY, L^-1 -> Y X^2 and free-product reduction.  Raises BudgetError
+    when |q1| + ... + |qk| exceeds QUOTIENT_SUM_CAP, before expanding.
     """
-    a, b, c, d = g.a, g.b, g.c, g.d
-    atoms: list = []
-    while c != 0:
+    a, b, c, d = g
+    atoms: list[int] = []  # q1, ..., qk
+    total = 0
+    while c != 0 and total <= QUOTIENT_SUM_CAP:
         q = a // c
-        atoms.append(("L", q))
-        atoms.append(("Y", 1))
+        atoms.append(q)
+        total += abs(q)
         a, b = a - q * c, b - q * d
         # multiply by Y on the left: rows swap with a sign
         a, b, c, d = c, d, -a, -b
-    atoms.append(("L", b if a == 1 else -b))
+    if c == 0:
+        atoms.append(b if a == 1 else -b)
+        total += abs(atoms[-1])
+    if total > QUOTIENT_SUM_CAP:
+        raise BudgetError(
+            f"the normal form needs more than {QUOTIENT_SUM_CAP} L-steps "
+            "(the sum of the partial quotients of the entries)"
+        )
 
     stack: list = []
-    for gen, exp in atoms:
-        if gen == "Y":
+    for i, q in enumerate(atoms):
+        if i:
             _push_syllable(stack, "Y", 1)
-        elif exp > 0:
-            for _ in range(exp):
-                _push_syllable(stack, "X", 1)
-                _push_syllable(stack, "Y", 1)
-        else:
-            for _ in range(-exp):
-                _push_syllable(stack, "Y", 1)
-                _push_syllable(stack, "X", 2)
+        block = (("X", 1), ("Y", 1)) if q > 0 else (("Y", 1), ("X", 2))
+        for done in range(1, abs(q) + 1):
+            for syllable in block:
+                _push_syllable(stack, *syllable)
+            if stack[-1:] == [block[1]]:
+                # the block's last syllable did not cancel, so no later
+                # block of this run can: append the rest as it is
+                stack.extend(block * (abs(q) - done))
+                break
     return SyllableWord(tuple(stack))
 
 
@@ -385,16 +447,20 @@ def _classify_full(g: GroupElement):
     found is the single syllable (gen, exp) of the middle element
     (identity, Y, X or X^2; None for the identity).
     """
-    syl = list(normal_form(g).syllables)
-    u = IDENTITY
-    while len(syl) >= 2 and syl[0][0] == syl[-1][0]:
-        gen, e_first = syl[0]
-        _, e_last = syl[-1]
-        u = u * _generator_power(gen, e_first)
-        syl = syl[1:-1]
-        merged = (e_last + e_first) % (3 if gen == "X" else 2)
+    syl = normal_form(g).syllables
+    # peel syl[i] and syl[j - 1] off both ends while they come from one
+    # factor; a nonzero merged syllable ends the reduction, since the
+    # syllable after syl[i] comes from the other factor
+    i, j, tail = 0, len(syl), ()
+    while j - i >= 2 and syl[i][0] == syl[j - 1][0]:
+        gen, e_first = syl[i]
+        merged = (syl[j - 1][1] + e_first) % (3 if gen == "X" else 2)
+        i, j = i + 1, j - 1
         if merged:
-            syl.append((gen, merged))
+            tail = ((gen, merged),)
+            break
+    u = product(_generator_power(*s) for s in syl[:i])
+    syl = list(syl[i:j] + tail)
 
     if not syl:
         return ConjugacyClass("identity"), u, None
@@ -467,13 +533,13 @@ def dehn_twist(v: TwistVector | tuple[int, int]) -> GroupElement:
     """The positive Dehn twist along the primitive vector v."""
     if not isinstance(v, TwistVector):
         v = TwistVector(*v)
-    p, q = v.p, v.q
+    p, q = v
     return GroupElement(1 - p * q, -q * q, p * p, 1 + p * q)
 
 
 def twist_vector(g: GroupElement) -> Optional[TwistVector]:
     """The twist vector of g if g is a positive Dehn twist, else None."""
-    a, b, c, d = g.a, g.b, g.c, g.d
+    a, b, c, d = g
     if a + d == -2:
         a, b, c, d = -a, -b, -c, -d
     elif a + d != 2:

@@ -1,12 +1,18 @@
+import contextlib
+import io
 import json
+import math
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modtwist import cli
 from modtwist.cli import main
 from modtwist.errors import VerificationError
 from modtwist.factorization import pair
-from modtwist.psl2 import R
+from modtwist.psl2 import QUOTIENT_SUM_CAP, R, evaluate
 
 
 def run_cli(capsys, *argv):
@@ -139,3 +145,106 @@ def test_output_is_byte_stable(capsys):
     _, first, _ = run_cli(capsys, "factorize", "L^4")
     _, second, _ = run_cli(capsys, "factorize", "L^4")
     assert first == second
+
+
+def test_oversize_integer_literals_exit_2(capsys):
+    digits = "3" * 5000
+    for element in (f"[[1,{digits}],[0,1]]", f"L^{digits}"):
+        code, out, err = run_cli(capsys, "classify", element)
+        assert (code, out) == (2, "")
+        assert "digit limit" in err
+
+
+def test_entry_size_cap_exits_4(capsys):
+    code, out, err = run_cli(capsys, "classify", "L^100000000")
+    assert (code, out) == (4, "")
+    assert "budget" in err
+    code, out, _ = run_cli(capsys, "classify", f"L^{QUOTIENT_SUM_CAP}")
+    assert code == 0
+    assert json.loads(out)["parabolic_index"] == -QUOTIENT_SUM_CAP
+
+
+def test_result_integer_past_the_digit_limit_exits_4(capsys):
+    # (LR)^n stays far below the cap, but its trace has about 0.42 n digits
+    word = "LR" * 12000
+    assert evaluate(word).trace.bit_length() > 4300 * math.log2(10)
+    code, out, err = run_cli(capsys, "classify", word)
+    assert (code, out) == (4, "")
+    assert "digit limit" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # a conjugate whose normal form peels 30,000 syllables off both ends
+        ["classify", "R^30000 L R^-30000"],
+        # a disjoint-axes monodromy whose diagram has 600 rotations to scan
+        ["mcurve", "." + "ud" * 150 + "."],
+    ],
+)
+def test_long_inputs_below_the_cap_answer_quickly(capsys, argv):
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and json.loads(out)
+    assert time.perf_counter() - start < 5
+
+
+# -- every input answers or exits 2, 3 or 4 --------------------------------
+
+EXPONENTS = st.one_of(
+    st.just(""),
+    st.integers(min_value=-12, max_value=12).map(lambda e: f"^{e}"),
+    st.integers(min_value=-(10**9), max_value=10**9).map(lambda e: f"^{e}"),
+)
+TOKENS = st.tuples(st.sampled_from("LRXY"), EXPONENTS).map("".join)
+WORDS = st.one_of(
+    st.tuples(st.sampled_from(["", " "]), st.lists(TOKENS, max_size=12)).map(
+        lambda c: c[0].join(c[1])
+    ),
+    st.text(alphabet="LRXY^-0123456789 Q[],", max_size=20),
+    st.sampled_from(["L^" + "9" * 5000, "R^-" + "1" * 4400 + " L"]),
+)
+ENTRIES = st.one_of(
+    st.integers(min_value=-5, max_value=5),
+    st.integers(min_value=-(10**12), max_value=10**12),
+).map(str) | st.just("4" * 4400)
+MATRICES = st.one_of(
+    st.tuples(ENTRIES, ENTRIES, ENTRIES, ENTRIES),
+    # det 1 by construction, some with entries past 10^18
+    st.lists(TOKENS, max_size=6).map(lambda t: tuple(map(str, evaluate(" ".join(t))))),
+).map(lambda m: "[[%s,%s],[%s,%s]]" % m)
+ELEMENT_CALLS = st.tuples(
+    st.sampled_from([["classify"], ["factorize"], ["factorize", "--check-obstructions"]]),
+    st.one_of(WORDS, MATRICES),
+).map(lambda c: [c[0][0], c[1], *c[0][1:]])
+STONE_CALLS = st.tuples(
+    st.text(alphabet="OS><", max_size=40) | st.text(alphabet="OS><x ", max_size=8),
+    st.sampled_from([[], ["--k", "2", "--w", "2"], ["--k", "1"]]),
+).map(lambda c: ["necklace", "stats", c[0], *c[1]])
+JUNCTION_CALLS = st.tuples(
+    st.text(alphabet="ud*.", max_size=30) | st.text(alphabet="udx* ", max_size=6),
+    st.sampled_from([[], ["--directed"]]),
+).map(lambda c: ["mcurve", c[0], *c[1]])
+
+
+def _exits(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refusing the argument list
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(st.one_of(ELEMENT_CALLS, STONE_CALLS, JUNCTION_CALLS))
+def test_every_input_answers_or_exits_2_3_or_4(argv):
+    start = time.perf_counter()
+    code, out, err = _exits(argv)
+    assert time.perf_counter() - start < 10, argv
+    assert code in (0, 2, 3, 4), argv
+    if code == 0:
+        json.loads(out)
+    else:
+        assert out == "" and err, argv

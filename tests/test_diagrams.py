@@ -85,6 +85,27 @@ def test_reflection_symmetries():
         assert len(reflection_symmetries(CyclicDiagram("L" * n))) == n
 
 
+def _scanned_reflections(diagram):
+    """Reference: test every axis c letter by letter."""
+    w = diagram.letters
+    m = len(w)
+    return tuple(c for c in range(m) if all(w[(c - i) % m] == w[i] for i in range(m)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.lists(st.sampled_from("LR"), min_size=1, max_size=12),
+    st.integers(min_value=1, max_value=4),
+    st.booleans(),
+)
+def test_reflection_search_matches_the_axis_scan(letters, copies, mirrored):
+    # periodic and palindromic words carry several axes each
+    unit = "".join(letters)
+    word = (unit + unit[::-1] if mirrored else unit) * copies
+    diagram = CyclicDiagram(word)
+    assert reflection_symmetries(diagram) == _scanned_reflections(diagram)
+
+
 def _is_odd_bipalindromic(cycle):
     """Independent oracle: cyclic run-length sequence splits into two
     palindromic pieces of odd length."""

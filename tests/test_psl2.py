@@ -1,13 +1,16 @@
+import copy
 import math
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modtwist.errors import DomainError, ParseError
+from modtwist.errors import BudgetError, DomainError, ParseError
 from modtwist.psl2 import (
     IDENTITY,
+    QUOTIENT_SUM_CAP,
     L,
     R,
     TAU1,
@@ -26,6 +29,7 @@ from modtwist.psl2 import (
     normal_form,
     parse_matrix,
     primitive_root,
+    product,
     real_involution,
     twist_vector,
 )
@@ -104,6 +108,90 @@ def test_sign_normalization_idempotent():
 def test_determinant_checked():
     with pytest.raises(DomainError):
         GroupElement(1, 0, 0, 2)
+    with pytest.raises(DomainError):
+        TwistVector(2, 4)
+
+
+def test_elements_are_immutable_tuples():
+    g = evaluate("L^3 R^-2 X Y")
+    a, b, c, d = g
+    assert g == (a, b, c, d) == (g.a, g.b, g.c, g.d)
+    assert hash(g) == hash((g.a, g.b, g.c, g.d))
+    v = TwistVector(-2, 3)
+    assert v == (2, -3) == (v.p, v.q)
+    assert hash(v) == hash((v.p, v.q))
+    with pytest.raises(AttributeError):
+        g.a = 0
+    with pytest.raises(AttributeError):
+        g.extra = 0
+
+
+@pytest.mark.parametrize("value", [evaluate("L^3 R^-2 X Y"), IDENTITY, TwistVector(2, -3)])
+def test_pickle_and_deepcopy_round_trip(value):
+    for clone in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value), copy.copy(value)):
+        assert clone == value
+        assert type(clone) is type(value)
+        assert repr(clone) == repr(value)
+
+
+@pytest.mark.parametrize("value", [L, TwistVector(1, 2)])
+def test_tuple_operators_are_refused(value):
+    other = R if isinstance(value, GroupElement) else TwistVector(0, 1)
+    for operation in (
+        lambda: value + other,
+        lambda: 3 * value,
+        lambda: value * 3,
+        lambda: value < other,
+        lambda: value >= other,
+        lambda: sorted([value, other]),
+    ):
+        with pytest.raises(TypeError):
+            operation()
+
+
+ELEMENTS = st.sampled_from([L, R, X, Y, L.inverse(), R.inverse(), evaluate("R^3 L^-2")])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(ELEMENTS, max_size=30))
+def test_product_is_the_left_fold_of_mul(elements):
+    expected = IDENTITY
+    for g in elements:
+        expected = expected * g
+    assert product(elements) == expected
+    assert product(iter(elements)) == expected
+
+
+def test_product_checks_the_determinant():
+    assert product([]) == IDENTITY
+    with pytest.raises(DomainError):
+        product([(1, 0, 0, 2)])
+
+
+def test_oversize_literals_are_parse_errors():
+    digits = "7" * 5000
+    for word in (f"L^{digits}", f"X^-{digits} R"):
+        with pytest.raises(ParseError, match="digit limit"):
+            evaluate(word)
+    with pytest.raises(ParseError, match="digit limit"):
+        parse_matrix(f"[[1,{digits}],[0,1]]")
+
+
+def test_parse_error_names_the_first_bad_position():
+    with pytest.raises(ParseError, match="position 4: 'Q R'"):
+        evaluate("L X Q R")
+    with pytest.raises(ParseError, match="position 0"):
+        evaluate("   ")
+
+
+def test_entry_size_cap():
+    # L^n peels to the single partial quotient n
+    assert classify(evaluate(f"L^{QUOTIENT_SUM_CAP}")).index == -QUOTIENT_SUM_CAP
+    half = QUOTIENT_SUM_CAP // 2
+    assert classify(evaluate(f"R^{half} L^-{half}")).kind == "hyperbolic"
+    for word in (f"L^{QUOTIENT_SUM_CAP + 1}", "L^100000000", f"R^{half} L^{half + 1}"):
+        with pytest.raises(BudgetError):
+            classify(evaluate(word))
 
 
 def test_inverse_roundtrip():
@@ -124,6 +212,52 @@ def test_normal_form_roundtrip(atoms):
     # reduced: adjacent syllables alternate between the two factors
     for (g1, _), (g2, _) in zip(nf.syllables, nf.syllables[1:]):
         assert g1 != g2
+
+
+# L = X Y and R = X^2 Y as syllables of Z3 * Z2
+_LETTER_SYLLABLES = {
+    "L": [("X", 1), ("Y", 1)],
+    "R": [("X", 2), ("Y", 1)],
+    "X": [("X", 1)],
+    "Y": [("Y", 1)],
+}
+
+
+def _reference_syllables(tokens):
+    """Reference: rewrite each letter into syllables and reduce one syllable
+    at a time, recursing on a merge."""
+
+    def push(stack, gen, exp):
+        exp %= 3 if gen == "X" else 2
+        if exp == 0:
+            return
+        if stack and stack[-1][0] == gen:
+            push(stack, gen, stack.pop()[1] + exp)
+        else:
+            stack.append((gen, exp))
+
+    stack = []
+    for gen, exp in tokens:
+        letter = _LETTER_SYLLABLES[gen]
+        if exp < 0:
+            letter = [(g, -e) for g, e in reversed(letter)]
+        for _ in range(abs(exp)):
+            for syllable in letter:
+                push(stack, *syllable)
+    return tuple(stack)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from("LRXY"), st.integers(min_value=-40, max_value=40)),
+        max_size=8,
+    )
+)
+def test_normal_form_with_long_runs(tokens):
+    # long runs of one sign take the appending shortcut of normal_form
+    g = evaluate(" ".join(f"{gen}^{exp}" for gen, exp in tokens))
+    assert normal_form(g).syllables == _reference_syllables(tokens)
 
 
 def test_normal_form_examples():
