@@ -7,7 +7,8 @@ and a result integer past the digit limit included) or memory
 exhausted.  Output is a single
 JSON document on stdout with sorted keys; --pretty switches to indented
 rendering.  The word budget for enumeration can be overridden with the
-MODTWIST_BUDGET environment variable.
+MODTWIST_BUDGET environment variable (not an integer: exit 2);
+factorize --max-modulus runs within the modulus budget of 12 (exit 4 past it).
 """
 
 from __future__ import annotations
@@ -110,14 +111,17 @@ def _cmd_factorize(args) -> dict:
                 "solution_count": report.solution_count,
             }
             for n in range(2, args.max_modulus + 1)
-            for report in [finite_quotient_test(g, n, max_modulus=args.max_modulus)]
+            for report in [finite_quotient_test(g, n)]
         ]
     return payload
 
 
 def _budget() -> int:
     raw = os.environ.get("MODTWIST_BUDGET")
-    return int(raw) if raw else nk.DEFAULT_WORD_BUDGET
+    try:
+        return int(raw) if raw else nk.DEFAULT_WORD_BUDGET
+    except ValueError:
+        raise ParseError("MODTWIST_BUDGET is not an integer") from None
 
 
 def _cmd_necklace(args) -> dict:

@@ -49,10 +49,28 @@ def word_transpose(word: str) -> str:
 
 
 def canonical_rotation(word: str) -> str:
-    """Lexicographically least rotation (L < R)."""
+    """Least rotation in code-point order (L < R): where a cyclic word starts.
+
+    Compares two candidate starts i < j over k letters; a mismatch rules out
+    the larger reading and the k starts after it, so i + j + k, below 3m,
+    grows every step: linear time.
+    """
     if not word:
         raise DomainError("empty cyclic word")
-    return min(word[i:] + word[:i] for i in range(len(word)))
+    m = len(word)
+    s = word + word
+    i, j, k = 0, 1, 0
+    while j < m and k < m:
+        a, b = s[i + k], s[j + k]
+        if a == b:
+            k += 1
+            continue
+        if a > b:
+            i, j = j, max(j, i + k) + 1
+        else:
+            j += k + 1
+        k = 0
+    return s[i : i + m]
 
 
 def _validate_letters(word: str) -> None:
@@ -169,9 +187,10 @@ def build_shared_axis_diagram(m: int) -> CyclicDiagram:
     return CyclicDiagram(("LL" + "LR" * m) * 2)
 
 
-def _rotation_base_word(n: int) -> str:
-    k = (n - 1) // 2
-    return ("l" + "lr" * k) * 2
+def _block_pattern(num: int, n: int) -> str:
+    """The l/r block word of the 1/n rotation pattern re-indexed by i -> num*i."""
+    base = ("l" + "lr" * ((n - 1) // 2)) * 2
+    return "".join(base[(num * i) % (2 * n)] for i in range(2 * n))
 
 
 def build_disjoint_axis_diagram(
@@ -191,17 +210,9 @@ def build_disjoint_axis_diagram(
         raise DomainError(f"rotation fraction must be odd/odd in (0,1), got {q}")
     if set(insert) - {"L", "R"}:
         raise DomainError(f"insert must be a word over L/R: {insert!r}")
-    base = _rotation_base_word(den)
-    two_n = 2 * den
-    reindexed = [base[(num * i) % two_n] for i in range(two_n)]
-    insert_t = word_transpose(insert)
-    parts = []
-    for i in range(den):
-        parts.append(reindexed[2 * i] * 2)
-        parts.append(insert)
-        parts.append(reindexed[2 * i + 1] * 2)
-        parts.append(insert_t)
-    return CyclicDiagram("".join(parts).upper())
+    inserts = (insert, word_transpose(insert))
+    pattern = _block_pattern(num, den).upper()
+    return CyclicDiagram("".join(b * 2 + inserts[i % 2] for i, b in enumerate(pattern)))
 
 
 @dataclass(frozen=True)
@@ -255,29 +266,26 @@ def _recognize_disjoint(
     n = m_len // gcd(m_len, shift)
     if n % 2 == 0 or n < 3 or m_len % (2 * n):
         raise VerificationError(f"bad rotation order {n} for {diagram.letters}")
-    insert_len = m_len // (2 * n) - 2
-    base = _rotation_base_word(n)
-    two_n = 2 * n
-    # the l/r block pattern of each admissible numerator, built once
+    unit = m_len // (2 * n)
+    # the admissible numerators of each l/r block pattern, built once
     numerators: dict[str, list[int]] = {}
     for num in range(1, n, 2):
         if gcd(num, n) == 1:
-            pattern = "".join(base[(num * i) % two_n] for i in range(two_n))
-            numerators.setdefault(pattern, []).append(num)
+            numerators.setdefault(_block_pattern(num, n), []).append(num)
     candidates = []
-    for rot in range(m_len):
-        v = diagram.rotated(rot)
-        unit = 2 + insert_len
-        blocks = [v[i * unit : i * unit + 2] for i in range(two_n)]
-        if any(b not in ("LL", "RR") for b in blocks):
-            continue
-        inserts = [v[i * unit + 2 : (i + 1) * unit] for i in range(two_n)]
-        b_word = inserts[0]
-        b_word_t = word_transpose(b_word)
-        if any(inserts[i] != (b_word if i % 2 == 0 else b_word_t) for i in range(two_n)):
+    # a rotation read as the form starts at an anchor, modulo the block
+    # unit; the rotations by whole blocks are rotations of one l/r pattern
+    for start in {a % unit for s in (s1, s2) for a in s.anchor_starts}:
+        v = diagram.rotated(start)
+        blocks = [v[i : i + 2] for i in range(0, m_len, unit)]
+        inserts = [v[i + 2 : i + unit] for i in range(0, m_len, unit)]
+        b_words = (inserts[0], word_transpose(inserts[0]))
+        if set(blocks) - {"LL", "RR"} or inserts != list(b_words) * n:
             continue
         pattern = "".join("l" if b == "LL" else "r" for b in blocks)
-        candidates += [(Fraction(num, n), b_word) for num in numerators.get(pattern, ())]
+        for t in range(2 * n):
+            for num in numerators.get(pattern[t:] + pattern[:t], ()):
+                candidates.append((Fraction(num, n), b_words[t % 2]))
     if not candidates:
         raise VerificationError(
             f"two disjoint para-symmetries but no disjoint-axes form: {diagram.letters}"

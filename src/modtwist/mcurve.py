@@ -129,14 +129,14 @@ def _stones_from_even_cutting(letters: str) -> str:
 
     Inverts the product formula for runs of squares and circles: an
     alternating necklace run sequence (r_1, r_2, ...) multiplies out to
-    the cyclic word  prod_t L^(r_t - 1) R^2.
+    the cyclic word  prod_t L^(r_t - 1) R^2.  A least rotation with both
+    letters starts with L and ends with R, so its runs pair up in order.
     """
     if "R" not in letters:
         return "O" * len(letters)
-    start = next(
-        i for i in range(len(letters)) if letters[i] == "L" and letters[i - 1] == "R"
-    )
-    runs = [(ch, len(list(run))) for ch, run in groupby(letters[start:] + letters[:start])]
+    runs = [(ch, len(list(run))) for ch, run in groupby(letters)]
+    if len(runs) % 2:
+        raise VerificationError(f"cutting word {letters} is not a least rotation")
     stones = []
     kind = "S"
     other = {"S": "O", "O": "S"}

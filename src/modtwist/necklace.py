@@ -28,6 +28,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
+from .diagrams import canonical_rotation
 from .errors import BudgetError, DomainError
 from .factorization import (
     Factorization,
@@ -128,11 +129,10 @@ def shift(word: str, k: int = 1) -> str:
 
 
 def twisted_shift(word: str, k: int = 1) -> str:
-    """k twisted shifts: rotate one stone and dualize it as it wraps."""
-    validate_stone_word(word)
-    for _ in range(k % (2 * len(word))):
-        word = word[1:] + word[0].translate(_DUAL)
-    return word
+    """k twisted shifts (rotate, dualize the wrapped stone): a window of word + dual(word)."""
+    cycle = validate_stone_word(word) + dual(word)
+    k %= len(cycle)
+    return (cycle + cycle)[k : k + len(word)]
 
 
 def transform(word: str, action: str, k: int = 1) -> str:
@@ -232,35 +232,33 @@ class PendantDiagram:
             )
 
 
-def orbit(word: str, category: str) -> set[str]:
-    """All stone words in the orbit of word under the category's group."""
+def _orbit_cycles(word: str, category: str) -> list[str]:
+    """Cyclic words whose length-n windows are the orbit of word: the seeds
+    (word, its inverse, their duals), or s + dual(s) for a twisted seed s."""
     validate_stone_word(word)
     if category not in CATEGORIES:
         raise DomainError(f"unknown category {category!r}")
-    n = len(word)
-    if category.startswith("twisted"):
-        seeds = {word}
-        if category == "twisted_nonoriented":
-            seeds.add(inverse(word))
-        out = set()
-        for seed in seeds:
-            current = seed
-            for _ in range(2 * n):
-                out.add(current)
-                current = twisted_shift(current)
-        return out
     seeds = {word}
-    if category in ("nonoriented", "flat_nonoriented"):
+    if category.endswith("nonoriented"):
         seeds.add(inverse(word))
-    if category in ("flat_oriented", "flat_nonoriented"):
+    if category.startswith("flat"):
         seeds |= {dual(s) for s in seeds}
-    doubled = [s + s for s in seeds]
-    return {d[k : k + n] for d in doubled for k in range(n)}
+    if category.startswith("twisted"):
+        return [s + dual(s) for s in seeds]
+    return list(seeds)
+
+
+def orbit(word: str, category: str) -> set[str]:
+    """All stone words in the orbit of word under the category's group."""
+    n = len(word)
+    doubled = [c + c for c in _orbit_cycles(word, category)]
+    return {d[k : k + n] for d in doubled for k in range(len(d) // 2)}
 
 
 def canonicalize(word: str, category: str) -> NecklaceClass:
     """Orbit-minimal representative of word in the given category."""
-    return NecklaceClass(category, min(orbit(word, category)))
+    cycles = _orbit_cycles(word, category)
+    return NecklaceClass(category, min(canonical_rotation(c)[: len(word)] for c in cycles))
 
 
 def pendants(word: str, w: int) -> list[StrongClassLabel]:
@@ -437,7 +435,8 @@ def enumerate_classes(
     if category not in ("oriented", "nonoriented"):
         raise DomainError("enumeration categories are oriented and nonoriented")
     n = 6 * k - w
-    if 4**n > budget:
+    # 4^n > budget, decided on bit lengths so that refusing costs nothing
+    if budget < 1 or 2 * n >= budget.bit_length():
         raise BudgetError(f"4^{n} stone words exceed the budget of {budget}")
     start = time.perf_counter()
     found = _pendant_words(n, w)

@@ -122,6 +122,36 @@ def test_necklace_budget(capsys, monkeypatch):
     assert "budget" in err
 
 
+def test_enumeration_refusal_is_instant(capsys):
+    # 4^(6k) is never built: the budget is compared on bit lengths
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "necklace", "enumerate", "--k", "100000000", "--w", "0")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (4, "")
+    assert "budget" in err
+
+
+@pytest.mark.parametrize("raw", ["abc", "1e9", "4" * 5000])
+def test_garbage_budget_exits_2(capsys, monkeypatch, raw):
+    monkeypatch.setenv("MODTWIST_BUDGET", raw)
+    code, out, err = run_cli(capsys, "necklace", "enumerate", "--k", "1", "--w", "0")
+    assert (code, out) == (2, "")
+    assert "MODTWIST_BUDGET" in err
+
+
+def test_max_modulus_is_capped_by_the_library_budget(capsys):
+    argv = ["factorize", "L^4", "--check-obstructions", "--max-modulus"]
+    code, out, _ = run_cli(capsys, *argv, "12")
+    assert code == 0
+    assert [t["modulus"] for t in json.loads(out)["quotient_tests"]] == list(range(2, 13))
+    for modulus in ("13", "1000000"):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv, modulus)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (4, "")
+        assert "modulus 13 exceeds budget 12" in err
+
+
 def test_mcurve(capsys):
     code, out, _ = run_cli(capsys, "mcurve", ".ud.")
     payload = json.loads(out)
@@ -178,8 +208,14 @@ def test_result_integer_past_the_digit_limit_exits_4(capsys):
     [
         # a conjugate whose normal form peels 30,000 syllables off both ends
         ["classify", "R^30000 L R^-30000"],
-        # a disjoint-axes monodromy whose diagram has 600 rotations to scan
+        # disjoint-axes monodromies with 600- and 4,004-letter diagrams
         ["mcurve", "." + "ud" * 150 + "."],
+        ["mcurve", "*" + "uudd" * 500 + "*"],
+        # a flat diagram of 20,001 stones to canonicalize
+        ["mcurve", "*" + "u" * 20000 + "*"],
+        # cutting words of 131,072 letters, at the entry-size cap
+        ["classify", "L^65536 R^65536"],
+        ["factorize", "L^65536 R^65536"],
     ],
 )
 def test_long_inputs_below_the_cap_answer_quickly(capsys, argv):
@@ -221,6 +257,18 @@ STONE_CALLS = st.tuples(
     st.text(alphabet="OS><", max_size=40) | st.text(alphabet="OS><x ", max_size=8),
     st.sampled_from([[], ["--k", "2", "--w", "2"], ["--k", "1"]]),
 ).map(lambda c: ["necklace", "stats", c[0], *c[1]])
+# the budget paths: a modulus past the library budget and a k past the
+# word budget are refused before any large work
+BUDGET_CALLS = st.one_of(
+    st.tuples(st.one_of(WORDS, MATRICES), st.integers(min_value=-1, max_value=10**6)).map(
+        lambda c: ["factorize", c[0], "--check-obstructions", "--max-modulus", str(c[1])]
+    ),
+    st.tuples(
+        st.just(1) | st.integers(min_value=3, max_value=10**9),
+        st.sampled_from("012"),
+        st.sampled_from(["oriented", "nonoriented"]),
+    ).map(lambda c: ["necklace", "enumerate", "--k", str(c[0]), "--w", c[1], "--category", c[2]]),
+)
 JUNCTION_CALLS = st.tuples(
     st.text(alphabet="ud*.", max_size=30) | st.text(alphabet="udx* ", max_size=6),
     st.sampled_from([[], ["--directed"]]),
@@ -238,7 +286,7 @@ def _exits(argv):
 
 
 @settings(max_examples=250, deadline=None, derandomize=True)
-@given(st.one_of(ELEMENT_CALLS, STONE_CALLS, JUNCTION_CALLS))
+@given(st.one_of(ELEMENT_CALLS, STONE_CALLS, JUNCTION_CALLS, BUDGET_CALLS))
 def test_every_input_answers_or_exits_2_3_or_4(argv):
     start = time.perf_counter()
     code, out, err = _exits(argv)

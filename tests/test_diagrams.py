@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from modtwist.diagrams import (
     CyclicDiagram,
+    _recognize_disjoint,
     axis_word,
     build_disjoint_axis_diagram,
     build_shared_axis_diagram,
@@ -19,6 +21,7 @@ from modtwist.diagrams import (
     word_transpose,
 )
 from modtwist.errors import DomainError
+from modtwist.mcurve import monodromy_class
 
 
 def test_canonical_rotation():
@@ -27,6 +30,23 @@ def test_canonical_rotation():
     assert canonical_rotation("RRLR") == "LRRR"
     with pytest.raises(DomainError):
         CyclicDiagram("")
+
+
+def _least_rotation_by_scan(word):
+    """Reference: the scan over every rotation that canonical_rotation replaced."""
+    return min(word[i:] + word[:i] for i in range(len(word)))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(
+    st.text(alphabet="LR", min_size=1, max_size=40)
+    | st.text(alphabet="OS><", min_size=1, max_size=12),
+    st.integers(min_value=1, max_value=4),
+)
+def test_canonical_rotation_matches_the_rotation_scan(unit, copies):
+    # periodic words have several least rotations, all the same string
+    word = unit * copies
+    assert canonical_rotation(word) == _least_rotation_by_scan(word)
 
 
 def test_canonical_is_rotation_invariant():
@@ -244,3 +264,59 @@ def test_even_word_wing_equivalence():
             a_word = "".join(bits)
             full = "LL" + a_word + "LL" + word_transpose(a_word)
             assert is_even_word(full) == _linear_even(a_word), a_word
+
+
+def _disjoint_form_by_scan(diagram, s1, s2):
+    """Reference: the scan over all m rotations that _recognize_disjoint
+    replaced, with each rotation's blocks and inserts sliced afresh."""
+    m_len = len(diagram)
+    n = m_len // gcd(m_len, (s2.axis - s1.axis) % m_len)
+    unit = m_len // (2 * n)
+    base = ("l" + "lr" * ((n - 1) // 2)) * 2
+    numerators = {}
+    for num in range(1, n, 2):
+        if gcd(num, n) == 1:
+            pattern = "".join(base[(num * i) % (2 * n)] for i in range(2 * n))
+            numerators.setdefault(pattern, []).append(num)
+    candidates = []
+    for rot in range(m_len):
+        v = diagram.rotated(rot)
+        blocks = [v[i * unit : i * unit + 2] for i in range(2 * n)]
+        if any(b not in ("LL", "RR") for b in blocks):
+            continue
+        inserts = [v[i * unit + 2 : (i + 1) * unit] for i in range(2 * n)]
+        b_word = inserts[0]
+        b_word_t = word_transpose(b_word)
+        if any(inserts[i] != (b_word if i % 2 == 0 else b_word_t) for i in range(2 * n)):
+            continue
+        pattern = "".join("l" if b == "LL" else "r" for b in blocks)
+        candidates += [(Fraction(num, n), b_word) for num in numerators.get(pattern, ())]
+    return min(candidates)
+
+
+def _check_disjoint_form(diagram):
+    symmetries = para_symmetries(diagram)
+    if recognize(diagram).kind != "disjoint_axes":
+        return
+    form = _recognize_disjoint(diagram, *symmetries)
+    assert (form.q, form.insert) == _disjoint_form_by_scan(diagram, *symmetries)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.sampled_from([(1, 3), (1, 5), (3, 5), (1, 7), (3, 7), (5, 7), (1, 9), (7, 9), (7, 15)]),
+    st.text(alphabet="LR", max_size=8),
+)
+def test_disjoint_form_matches_the_rotation_scan(q, insert):
+    _check_disjoint_form(build_disjoint_axis_diagram(q, insert))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.text(alphabet="ud", max_size=12), st.booleans())
+def test_junction_disjoint_forms_match_the_rotation_scan(arrows, mirrored):
+    # arrows followed by their reversed swap give two disjoint axes most often
+    if mirrored:
+        arrows += arrows[::-1].translate(str.maketrans("ud", "du"))
+    cls = monodromy_class("*" + arrows + "*")
+    if cls.diagram_word is not None:
+        _check_disjoint_form(CyclicDiagram(cls.diagram_word))

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modtwist import factorization
 from modtwist.errors import BudgetError, DomainError, VerificationError
@@ -11,6 +13,7 @@ from modtwist.factorization import (
     decide_strong_equivalence,
 )
 from modtwist.necklace import (
+    CATEGORIES,
     canonicalize,
     dual,
     enumerate_classes,
@@ -127,6 +130,48 @@ def test_canonicalize():
         size = len(orbit("OS><", category))
         assert order % size == 0 or size % 4 == 0
         assert size <= order
+
+
+def _twisted_shift_by_steps(word, k):
+    """Reference: the k-step loop that twisted_shift replaced."""
+    for _ in range(k % (2 * len(word))):
+        word = word[1:] + dual(word[0])
+    return word
+
+
+def _orbit_by_steps(word, category):
+    """Reference: the orbit as built before the cycle windows, twisted
+    categories by stepping twisted shifts."""
+    n = len(word)
+    seeds = {word}
+    if category in ("nonoriented", "flat_nonoriented", "twisted_nonoriented"):
+        seeds.add(inverse(word))
+    if category.startswith("twisted"):
+        return {_twisted_shift_by_steps(s, k) for s in seeds for k in range(2 * n)}
+    if category in ("flat_oriented", "flat_nonoriented"):
+        seeds |= {dual(s) for s in seeds}
+    return {(s + s)[k : k + n] for s in seeds for k in range(n)}
+
+
+STONE_WORDS = st.text(alphabet=STONES, min_size=1, max_size=10)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(STONE_WORDS, st.integers(min_value=1, max_value=3))
+def test_orbit_and_canonicalize_match_the_rotation_scan(unit, copies):
+    # repeated units make orbits smaller than the group order
+    word = unit * copies
+    for category in CATEGORIES:
+        reference = _orbit_by_steps(word, category)
+        assert orbit(word, category) == reference
+        assert canonicalize(word, category).representative == min(reference)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(STONE_WORDS, st.data())
+def test_twisted_shift_matches_the_stepwise_loop(word, data):
+    k = data.draw(st.integers(min_value=-len(word), max_value=3 * len(word)))
+    assert twisted_shift(word, k) == _twisted_shift_by_steps(word, k)
 
 
 def test_pendants():
@@ -264,6 +309,15 @@ def test_enumeration_budget():
         enumerate_classes(1, 3)
     with pytest.raises(DomainError):
         enumerate_classes(1, 0, category="flat_oriented")
+
+
+@pytest.mark.parametrize("budget", [4**4 - 1, 1, 0, -1, -(10**9), -(4**40)])
+def test_enumeration_budget_refuses_below_4_to_the_n(budget):
+    # the bit-length comparison agrees with 4^n > budget on both sides
+    # of the boundary, and for every budget of 0 or below
+    with pytest.raises(BudgetError):
+        enumerate_classes(1, 2, budget=budget)
+    assert enumerate_classes(1, 2, budget=4**4).count == 24
 
 
 def test_enumeration_representatives_are_canonical():

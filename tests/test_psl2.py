@@ -23,6 +23,7 @@ from modtwist.psl2 import (
     abelian_degree,
     classify,
     conjugator_to_rep,
+    cutting_conjugator,
     dehn_twist,
     evaluate,
     is_real_element,
@@ -448,6 +449,25 @@ def test_primitive_root():
         primitive_root(X)
     with pytest.raises(DomainError):
         primitive_root(IDENTITY)
+
+
+def _primitive_root_by_divisors(g):
+    """Reference: the divisor scan for the period that primitive_root replaced."""
+    h, canon = cutting_conjugator(g)
+    m = len(canon)
+    period = next(p for p in range(1, m + 1) if m % p == 0 and canon == canon[:p] * (m // p))
+    return evaluate(canon[:period]).conjugated_by(h), m // period
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.lists(st.sampled_from(["L", "R", "X", "Y", "L^-1", "R^-1"]), min_size=1, max_size=12),
+    st.integers(min_value=1, max_value=4),
+)
+def test_primitive_root_matches_the_divisor_scan(tokens, power):
+    g = evaluate(" ".join(tokens)) ** power
+    if classify(g).kind in ("parabolic", "hyperbolic"):
+        assert primitive_root(g) == _primitive_root_by_divisors(g)
 
 
 def _syllable_degree(g):
