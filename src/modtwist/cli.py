@@ -77,6 +77,12 @@ def _cmd_classify(args) -> dict:
 
 def _cmd_factorize(args) -> dict:
     g = parse_element(args.element)
+    # first, so a modulus past the budget is refused before any other work
+    quotient_tests = [
+        {"modulus": n, "solvable": report.solvable, "solution_count": report.solution_count}
+        for n in range(2, args.max_modulus + 1)
+        for report in [finite_quotient_test(g, n)]
+    ] if args.check_obstructions else None
     strong, weak = count_classes(g)
     reps = []
     for fact, label in zip(canonical_2factorizations(g), strong_class_labels(g)):
@@ -104,15 +110,7 @@ def _cmd_factorize(args) -> dict:
         "trace_test": trace_test(g),
     }
     if args.check_obstructions:
-        payload["quotient_tests"] = [
-            {
-                "modulus": n,
-                "solvable": report.solvable,
-                "solution_count": report.solution_count,
-            }
-            for n in range(2, args.max_modulus + 1)
-            for report in [finite_quotient_test(g, n)]
-        ]
+        payload["quotient_tests"] = quotient_tests
     return payload
 
 

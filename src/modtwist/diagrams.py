@@ -7,7 +7,8 @@ reflection is fixed-point free, and the two adjacent transposed pairs
 {i, i+1} with 2i = c - 1 (mod m) are its anchors.  A para-symmetry keeps
 the four anchors (all of type L) and flips every other letter; it is the
 same thing as a presentation of the underlying element as
-L.L.A.L.L.At, where At reverses A and swaps L <-> R.
+L.L.A.L.L.At, where At reverses A and swaps L <-> R, and it is decided by
+one outward wing test from its anchor pair (_reads_axis).
 
 Diagrams with exactly two para-symmetries come in two families: the axes
 either share an anchor (the "shared-axes" chain LL(LR)^m LL(LR)^m) or are
@@ -106,28 +107,29 @@ class ParaSymmetry:
     anchor_starts: tuple[int, int]
 
 
+def _reads_axis(w: str, j: int) -> bool:
+    """Whether the cyclic word w reads as L.L.A.L.L.At from anchor start j < m/2.
+
+    The one wing test: the four anchors j, j+1, j+m/2, j+m/2+1 are L, and
+    the letters at distance t on either side of the anchor pair differ,
+    read outward for t = 1 .. m/2 - 2, which pairs every other letter with
+    its mirror under i -> 2j+1 - i.  A failing axis mostly fails next to
+    its anchor, so the scan stops early.
+    """
+    m = len(w)
+    half = m // 2
+    if m % 2 or m < 4:
+        return False
+    if not w[j] == w[j + 1] == w[j + half] == w[(j + half + 1) % m] == "L":
+        return False
+    return all(w[j - t] != w[j + 1 + t] for t in range(1, half - 1))
+
+
 def para_symmetries(diagram: CyclicDiagram) -> tuple[ParaSymmetry, ...]:
     """All para-symmetries of the diagram, sorted by axis."""
     w = diagram.letters
-    m = len(w)
-    if m % 2 or m < 4:
-        return ()
-    half = m // 2
-    found = []
-    for c in range(1, m, 2):
-        j1 = ((c - 1) // 2) % half
-        j2 = j1 + half
-        anchors = (j1, (j1 + 1) % m, j2, (j2 + 1) % m)
-        if any(w[j] != "L" for j in anchors):
-            continue
-        anchor_set = set(anchors)
-        if all(
-            w[(c - j) % m] != w[j]
-            for j in range(m)
-            if j not in anchor_set
-        ):
-            found.append(ParaSymmetry(c, (j1, j2)))
-    return tuple(found)
+    half = len(w) // 2
+    return tuple(ParaSymmetry(2 * j + 1, (j, j + half)) for j in range(half) if _reads_axis(w, j))
 
 
 def reflection_symmetries(diagram: CyclicDiagram) -> tuple[int, ...]:
@@ -170,14 +172,9 @@ def _axis_reading(diagram: CyclicDiagram, anchor_start: int) -> str:
     so a failed reading is a broken invariant, not bad input.
     """
     w = diagram.rotated(anchor_start)
-    m = len(w)
-    k = (m - 4) // 2
-    a = w[2 : 2 + k]
-    if not (
-        w[:2] == "LL" and w[2 + k : 4 + k] == "LL" and w[4 + k :] == word_transpose(a)
-    ):
+    if not _reads_axis(w, 0):
         raise VerificationError(f"{w} is not read as L.L.A.L.L.At at {anchor_start}")
-    return a
+    return w[2 : len(w) // 2]
 
 
 def build_shared_axis_diagram(m: int) -> CyclicDiagram:
@@ -267,11 +264,6 @@ def _recognize_disjoint(
     if n % 2 == 0 or n < 3 or m_len % (2 * n):
         raise VerificationError(f"bad rotation order {n} for {diagram.letters}")
     unit = m_len // (2 * n)
-    # the admissible numerators of each l/r block pattern, built once
-    numerators: dict[str, list[int]] = {}
-    for num in range(1, n, 2):
-        if gcd(num, n) == 1:
-            numerators.setdefault(_block_pattern(num, n), []).append(num)
     candidates = []
     # a rotation read as the form starts at an anchor, modulo the block
     # unit; the rotations by whole blocks are rotations of one l/r pattern
@@ -283,9 +275,17 @@ def _recognize_disjoint(
         if set(blocks) - {"LL", "RR"} or inserts != list(b_words) * n:
             continue
         pattern = "".join("l" if b == "LL" else "r" for b in blocks)
-        for t in range(2 * n):
-            for num in numerators.get(pattern[t:] + pattern[:t], ()):
-                candidates.append((Fraction(num, n), b_words[t % 2]))
+        # Letter i of _block_pattern(num, n) is l iff num*i mod n is 0 or
+        # odd.  For i = 2 .. n-1 (mod n) the neighbours i-1, i agree iff
+        # floor(num*i/n) steps up, as num and n are odd; i = 1 agrees
+        # without a step and i = n steps without agreeing.  So one period
+        # holds exactly num agreeing pairs at every rotation, and num is
+        # read off the pattern.
+        num = sum(pattern[i - 1] == pattern[i] for i in range(1, n + 1))
+        if num % 2 and gcd(num, n) == 1 and _block_pattern(num, n) in pattern + pattern:
+            # the pattern has odd period n, so the matching rotations t and
+            # t + n have opposite parities: the insert reads as B and as Bt
+            candidates.append((Fraction(num, n), min(b_words)))
     if not candidates:
         raise VerificationError(
             f"two disjoint para-symmetries but no disjoint-axes form: {diagram.letters}"
@@ -295,10 +295,10 @@ def _recognize_disjoint(
 
 
 def _cyclic_runs(word: str) -> list[int]:
-    """Run lengths of the cyclic word, starting at a run boundary so the
-    wrap-around run is read whole."""
-    start = next((i for i in range(len(word)) if word[i] != word[i - 1]), 0)
-    return [len(list(run)) for _, run in groupby(word[start:] + word[:start])]
+    """Run lengths of the cyclic word, read off its least rotation: with both
+    letters that starts an L-run after a final R, so the wrap-around run is
+    read whole."""
+    return [len(list(run)) for _, run in groupby(canonical_rotation(word))]
 
 
 def cutting_period_cycle(diagram: CyclicDiagram) -> tuple[int, ...]:

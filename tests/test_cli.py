@@ -152,6 +152,18 @@ def test_max_modulus_is_capped_by_the_library_budget(capsys):
         assert "modulus 13 exceeds budget 12" in err
 
 
+def test_max_modulus_past_the_budget_refuses_before_factorizing(capsys, monkeypatch):
+    def no_factorization_work(g):
+        raise AssertionError("count_classes ran before the modulus budget check")
+
+    monkeypatch.setattr(cli, "count_classes", no_factorization_work)
+    code, out, err = run_cli(
+        capsys, "factorize", "L^4", "--check-obstructions", "--max-modulus", "13"
+    )
+    assert (code, out) == (4, "")
+    assert "modulus 13 exceeds budget 12" in err
+
+
 def test_mcurve(capsys):
     code, out, _ = run_cli(capsys, "mcurve", ".ud.")
     payload = json.loads(out)
@@ -216,6 +228,13 @@ def test_result_integer_past_the_digit_limit_exits_4(capsys):
         # cutting words of 131,072 letters, at the entry-size cap
         ["classify", "L^65536 R^65536"],
         ["factorize", "L^65536 R^65536"],
+        # a square of 104,856 letters: about half its axes pass the anchor
+        # test, and each fails next to its anchor in the outward wing test
+        ["factorize", "L^26216 R^26212 L^26216 R^26212"],
+        # a disjoint-axes monodromy of 87,364 letters, one step below the
+        # largest uudd word under the cap: its rotation fraction 10921/21841
+        # is read off the l/r block pattern
+        ["mcurve", "*" + "uudd" * 5460 + "*"],
     ],
 )
 def test_long_inputs_below_the_cap_answer_quickly(capsys, argv):

@@ -8,6 +8,10 @@ from hypothesis import strategies as st
 
 from modtwist.diagrams import (
     CyclicDiagram,
+    ParaSymmetry,
+    _axis_reading,
+    _block_pattern,
+    _cyclic_runs,
     _recognize_disjoint,
     axis_word,
     build_disjoint_axis_diagram,
@@ -20,7 +24,7 @@ from modtwist.diagrams import (
     reflection_symmetries,
     word_transpose,
 )
-from modtwist.errors import DomainError
+from modtwist.errors import DomainError, VerificationError
 from modtwist.mcurve import monodromy_class
 
 
@@ -96,6 +100,84 @@ def test_exhaustive_para_symmetry_bound_small():
             assert count <= 2
             if count == 2:
                 assert recognize(diagram).kind in ("shared_axes", "disjoint_axes")
+
+
+def _para_symmetries_by_scan(diagram):
+    """Reference: the scan over all m positions per axis that the outward
+    wing test replaced."""
+    w = diagram.letters
+    m = len(w)
+    if m % 2 or m < 4:
+        return ()
+    half = m // 2
+    found = []
+    for c in range(1, m, 2):
+        j1 = ((c - 1) // 2) % half
+        j2 = j1 + half
+        anchors = (j1, (j1 + 1) % m, j2, (j2 + 1) % m)
+        if any(w[j] != "L" for j in anchors):
+            continue
+        if all(w[(c - j) % m] != w[j] for j in range(m) if j not in anchors):
+            found.append(ParaSymmetry(c, (j1, j2)))
+    return tuple(found)
+
+
+def test_para_symmetries_match_the_scan_exhaustively():
+    for m in range(1, 15):
+        for bits in itertools.product("LR", repeat=m):
+            diagram = CyclicDiagram("".join(bits))
+            assert para_symmetries(diagram) == _para_symmetries_by_scan(diagram)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    st.text(alphabet="LR", min_size=1, max_size=60)
+    | st.text(alphabet="LR", min_size=1, max_size=30).map(lambda u: u + u)
+    | st.integers(min_value=0, max_value=6).map(build_shared_axis_diagram)
+    | st.tuples(
+        st.sampled_from([(1, 3), (3, 5), (5, 7), (7, 9), (5, 11), (11, 21)]),
+        st.text(alphabet="LR", max_size=6),
+    ).map(lambda c: build_disjoint_axis_diagram(*c))
+)
+def test_para_symmetries_match_the_scan(word):
+    diagram = word if isinstance(word, CyclicDiagram) else CyclicDiagram(word)
+    assert para_symmetries(diagram) == _para_symmetries_by_scan(diagram)
+
+
+def _axis_reading_by_slices(diagram, anchor_start):
+    """Reference: the slice reading of L.L.A.L.L.At that the wing test replaced."""
+    w = diagram.rotated(anchor_start)
+    m = len(w)
+    k = (m - 4) // 2
+    a = w[2 : 2 + k]
+    if not (
+        w[:2] == "LL" and w[2 + k : 4 + k] == "LL" and w[4 + k :] == word_transpose(a)
+    ):
+        raise VerificationError(f"{w} is not read as L.L.A.L.L.At at {anchor_start}")
+    return a
+
+
+def _reading_or_error(reader, diagram, start):
+    try:
+        return reader(diagram, start)
+    except VerificationError:
+        return VerificationError
+
+
+def test_axis_reading_matches_the_slices():
+    # the slices also "read" the odd word LLL, which has no para-symmetry;
+    # the wing test reads even words only
+    assert _axis_reading_by_slices(CyclicDiagram("LLL"), 0) == ""
+    assert _reading_or_error(_axis_reading, CyclicDiagram("LLL"), 0) is VerificationError
+    for m in range(1, 13):
+        for bits in itertools.product("LR", repeat=m):
+            diagram = CyclicDiagram("".join(bits))
+            if diagram.letters == "LLL":
+                continue
+            for start in range(m):
+                assert _reading_or_error(_axis_reading, diagram, start) == _reading_or_error(
+                    _axis_reading_by_slices, diagram, start
+                ), (diagram.letters, start)
 
 
 def test_reflection_symmetries():
@@ -249,6 +331,23 @@ def _linear_even(word):
     return all(count % 2 == 0 for _, count in runs)
 
 
+def _cyclic_runs_from_a_boundary(word):
+    """Reference: the run boundary search that the least rotation replaced."""
+    start = next((i for i in range(len(word)) if word[i] != word[i - 1]), 0)
+    return [len(list(run)) for _, run in itertools.groupby(word[start:] + word[:start])]
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.text(alphabet="LR", min_size=1, max_size=40))
+def test_cyclic_runs_match_the_boundary_search(word):
+    runs = _cyclic_runs(word)
+    reference = _cyclic_runs_from_a_boundary(word)
+    # the same cycle of runs, now starting at the L-run of the least rotation
+    assert sorted(runs) == sorted(reference)
+    assert any(runs == reference[k:] + reference[:k] for k in range(len(reference)))
+    assert tuple(runs) == cutting_period_cycle(CyclicDiagram(word))
+
+
 def test_is_even_word():
     assert is_even_word("LLLLRR")
     assert not is_even_word("LR")
@@ -294,6 +393,15 @@ def _disjoint_form_by_scan(diagram, s1, s2):
     return min(candidates)
 
 
+def test_block_pattern_agreeing_neighbours_count_the_numerator():
+    # the lemma _recognize_disjoint reads its numerator by
+    for n in range(3, 200, 2):
+        for num in range(1, n, 2):
+            if gcd(num, n) == 1:
+                pattern = _block_pattern(num, n)
+                assert sum(pattern[i - 1] == pattern[i] for i in range(n)) == num, (num, n)
+
+
 def _check_disjoint_form(diagram):
     symmetries = para_symmetries(diagram)
     if recognize(diagram).kind != "disjoint_axes":
@@ -304,7 +412,10 @@ def _check_disjoint_form(diagram):
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(
-    st.sampled_from([(1, 3), (1, 5), (3, 5), (1, 7), (3, 7), (5, 7), (1, 9), (7, 9), (7, 15)]),
+    st.sampled_from(
+        [(1, 3), (1, 5), (3, 5), (1, 7), (3, 7), (5, 7), (1, 9), (7, 9), (7, 15)]
+        + [(5, 11), (11, 21), (13, 27), (17, 33), (27, 53)]
+    ),
     st.text(alphabet="LR", max_size=8),
 )
 def test_disjoint_form_matches_the_rotation_scan(q, insert):

@@ -31,3 +31,21 @@ def test_no_asserts_in_the_package():
                 exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
                 name = getattr(exc, "id", None)
                 assert name != "AssertionError", f"{path.name}:{node.lineno}"
+
+
+def test_no_unused_imports_in_the_package():
+    # every module-level import is referenced; __init__ re-exports by design
+    for path in sorted(Path(modtwist.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        imported = {
+            (alias.asname or alias.name).split(".")[0]: node.lineno
+            for node in tree.body
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for name, lineno in imported.items():
+            assert name in used, f"{path.name}:{lineno} imports {name} unused"
