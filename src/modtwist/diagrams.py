@@ -10,10 +10,12 @@ same thing as a presentation of the underlying element as
 L.L.A.L.L.At, where At reverses A and swaps L <-> R, and it is decided by
 one outward wing test from its anchor pair (_reads_axis).
 
-Diagrams with exactly two para-symmetries come in two families: the axes
-either share an anchor (the "shared-axes" chain LL(LR)^m LL(LR)^m) or are
-disjoint (the "disjoint-axes" words built from an odd rotation fraction q
-and an inserted word B).
+recognize() names two families of diagrams with exactly two
+para-symmetries: the axes either share an anchor (the "shared-axes" chain
+LL(LR)^m LL(LR)^m) or are disjoint with an odd rotation order (the
+"disjoint-axes" words built from an odd rotation fraction q and an
+inserted word B).  The two are not exhaustive: disjoint axes of even
+rotation order occur too, as on LLLLLRRRLLLLLRRR, and are refused.
 """
 
 from __future__ import annotations
@@ -234,7 +236,11 @@ class DiagramForm:
 
 
 def recognize(diagram: CyclicDiagram) -> DiagramForm:
-    """Classify a diagram by its para-symmetry count and two-axis family."""
+    """Classify a diagram by its para-symmetry count and two-axis family.
+
+    Two para-symmetries with disjoint anchors and an even rotation order
+    lie outside both families and raise DomainError.
+    """
     symmetries = para_symmetries(diagram)
     if not symmetries:
         return DiagramForm("no_axis")
@@ -261,7 +267,12 @@ def _recognize_disjoint(
     m_len = len(diagram)
     shift = (s2.axis - s1.axis) % m_len
     n = m_len // gcd(m_len, shift)
-    if n % 2 == 0 or n < 3 or m_len % (2 * n):
+    if n % 2 == 0:
+        raise DomainError(
+            f"{diagram.letters}: two para-symmetries outside the shared- and "
+            "disjoint-axes families"
+        )
+    if n < 3 or m_len % (2 * n):
         raise VerificationError(f"bad rotation order {n} for {diagram.letters}")
     unit = m_len // (2 * n)
     candidates = []

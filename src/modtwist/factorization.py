@@ -230,8 +230,9 @@ class Analysis:
 
 
 # The size covers the 1,600 distinct monodromies of a pass of the benchmark's
-# pendant_stream workload and the 2,912 distinct passing products that the
-# k = 2, w = 2 enumeration transports.  Records are immutable apart from
+# pendant_stream workload, and the k = 2, w = 2 sweep reads the canonical
+# pairs of only 293 (nonoriented) or 535 (oriented) distinct monodromies, of
+# the 1,342 of its 253,880 passing words.  Records are immutable apart from
 # their lazily cached fields, and every query returns a fresh list.
 @lru_cache(maxsize=4096)
 def analyze(g: GroupElement) -> Analysis:

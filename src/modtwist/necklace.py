@@ -14,12 +14,12 @@ and the twisted shifts that dualize the wrapped stone.
 Enumeration of w-pendant diagrams of length 6k - w filters stone words by
 the pendant condition (monodromy = id for w = 0, a positive twist for
 w = 1, 2-factorizable for w = 2) and counts orbits; for w = 2 the objects
-are (diagram, strong-class) pairs and the class index is transported
-along shifts by conjugation and along the inverse by the anti-automorphism
-of tau_1.  The filter joins the histograms of the two half-words over
-their distinct monodromies, so the condition is decided once per distinct
-product and only passing words are spelled out; the orbits are counted in
-one sorted sweep.
+are (diagram, strong-class) pairs, and the pair orbits over a word orbit
+are read off the action of the orbit-minimal word's stabilizer on its
+classes (see _stabilizer_swaps).  The filter joins the histograms of the
+two half-words over their distinct monodromies, so the condition is
+decided once per distinct product and only passing words are spelled out;
+the orbits of every weight are counted in one sorted sweep.
 """
 
 from __future__ import annotations
@@ -350,6 +350,9 @@ def _orbit_minima(words, category: str) -> list[str]:
     """Orbit-minimal words of a transform-closed word set, in sorted order.
 
     In one sorted sweep the first word not yet seen is its orbit's minimum.
+    Every pendant word set is closed under both actions: for w = 2 a shift
+    conjugates the monodromy and the inverse applies the anti-automorphism
+    of tau_1, and both keep a product of two positive twists one.
     """
     seen: set[str] = set()
     reps = []
@@ -360,62 +363,44 @@ def _orbit_minima(words, category: str) -> list[str]:
     return reps
 
 
-class _PendantTransport:
-    """Transports strong-class indices of 2-factorizations along the actions.
+def _stabilizer_swaps(w0: str, g: GroupElement, category: str) -> bool:
+    """Whether a generator of the stabilizer of w0 carries class 0 of g to class 1.
 
-    A move depends only on the monodromy, the class index and, for a
-    shift, the wrapped stone, so each is located once and memoized; the
-    classes themselves are read from, and located by, the shared analyze(g).
+    The shift s conjugates a pendant pair by the first stone's monodromy;
+    the inverse i maps (m1, m2) to (tau1(m2), tau1(m1)).  As tau1 is an
+    anti-automorphism and monodromy(inverse(w)) = tau1(monodromy(w)), both
+    i^2 = id and i s i = s^-1 hold exactly on pairs, and s^n conjugates by
+    g = monodromy(w), the square of the Hurwitz move, which keeps the
+    strong class.  So the cyclic (or dihedral) group acts on (word, class)
+    pairs, and by orbit-stabilizer the pair orbits over the word orbit of
+    w0 are the orbits of Stab(w0) on the classes of g.  Each pair orbit
+    meets w0, so its least pair is (w0, least index of its Stab-orbit):
+    the pair a sweep over every (word, class) pair would find first.
+
+    Stab(w0) is generated by the shift by the primitive period of w0 and,
+    nonoriented, by the inverse followed by the shift back onto w0 when
+    inverse(w0) is a rotation of w0.  Both fix w0, so a moved pair still
+    multiplies to g and analyze(g).locate names its class; with at most
+    two classes, they form one orbit iff some generator moves 0 to 1.
     """
-
-    def __init__(self):
-        self._shifts: dict[tuple, tuple[GroupElement, int]] = {}
-        self._inverses: dict[tuple, tuple[GroupElement, int]] = {}
-
-    def shifted(self, word: str, g: GroupElement, idx: int) -> tuple[str, GroupElement, int]:
-        key = (g, idx, word[0])
-        if key not in self._shifts:
-            conj = STONE_MONODROMY[word[0]]
-            fact, _ = analyze(g).canonical[idx]
-            moved = fact.conjugated_by(conj)
-            self._shifts[key] = (moved.product, analyze(moved.product).locate(moved))
-        return (shift(word), *self._shifts[key])
-
-    def inverted(self, word: str, g: GroupElement, idx: int) -> tuple[str, GroupElement, int]:
-        key = (g, idx)
-        if key not in self._inverses:
-            fact, _ = analyze(g).canonical[idx]
+    analysis = analyze(g)
+    fact, _ = analysis.canonical[0]
+    moves = []  # (a pair of w0 or of inverse(w0), the prefix shifted back onto w0)
+    period = (w0 + w0).find(w0, 1)
+    if period < len(w0):
+        moves.append((fact, w0[:period]))
+    if category == "nonoriented":
+        inv = inverse(w0)
+        back = (inv + inv).find(w0)
+        if back >= 0:
             m1, m2 = fact.factors
-            moved = Factorization((real_involution(TAU1, m2), real_involution(TAU1, m1)))
-            self._inverses[key] = (moved.product, analyze(moved.product).locate(moved))
-        return (inverse(word), *self._inverses[key])
-
-
-def _pendant_pair_minima(
-    found: dict[str, GroupElement], category: str
-) -> list[tuple[str, str]]:
-    """Orbit-minimal (word, strong class) pairs, by the sweep of _orbit_minima."""
-    transport = _PendantTransport()
-    seen: set[tuple[str, int]] = set()
-    reps = []
-    for word in sorted(found):
-        g = found[word]
-        for idx, (_, label) in enumerate(analyze(g).canonical):
-            if (word, idx) in seen:
-                continue
-            reps.append((word, label.describe()))
-            seen.add((word, idx))
-            queue = [(word, g, idx)]
-            while queue:
-                state = queue.pop()
-                moves = [transport.shifted(*state)]
-                if category == "nonoriented":
-                    moves.append(transport.inverted(*state))
-                for new_word, new_g, new_idx in moves:
-                    if (new_word, new_idx) not in seen:
-                        seen.add((new_word, new_idx))
-                        queue.append((new_word, new_g, new_idx))
-    return reps
+            flipped = Factorization((real_involution(TAU1, m2), real_involution(TAU1, m1)))
+            moves.append((flipped, inv[:back]))
+    for pair, prefix in moves:
+        conj = product(map(STONE_MONODROMY.__getitem__, prefix))
+        if analysis.locate(pair.conjugated_by(conj)) == 1:
+            return True
+    return False
 
 
 def enumerate_classes(
@@ -441,7 +426,12 @@ def enumerate_classes(
     start = time.perf_counter()
     found = _pendant_words(n, w)
     if w == 2:
-        reps = _pendant_pair_minima(found, category)
+        reps = [
+            (word, label.describe())
+            for word in _orbit_minima(found, category)
+            for idx, (_, label) in enumerate(analyze(found[word]).canonical)
+            if idx == 0 or not _stabilizer_swaps(word, found[word], category)
+        ]
     else:
         label = StrongClassLabel("empty" if w == 0 else "single_twist").describe()
         reps = [(word, label) for word in _orbit_minima(found, category)]

@@ -46,30 +46,18 @@ class QuotientReport:
 
 @lru_cache(maxsize=None)
 def _twist_class_mod(n: int) -> frozenset:
-    """Conjugacy class of R in SL(2, Z_n), as matrix tuples."""
-    gens = [(1, 1, 0, 1), (1, 0, 1, 1)]  # L and R generate SL(2, Z_n)
-    start = (1, 0, 1 % n, 1)
-    seen = {start}
-    queue = [start]
-    while queue:
-        a, b, c, d = queue.pop()
-        for ga, gb, gc, gd in gens:
-            # h^-1 * m * h mod n with h the generator
-            ia, ib, ic, id_ = gd, -gb, -gc, ga
-            m00 = ia * a + ib * c
-            m01 = ia * b + ib * d
-            m10 = ic * a + id_ * c
-            m11 = ic * b + id_ * d
-            r = (
-                (m00 * ga + m01 * gc) % n,
-                (m00 * gb + m01 * gd) % n,
-                (m10 * ga + m11 * gc) % n,
-                (m10 * gb + m11 * gd) % n,
-            )
-            if r not in seen:
-                seen.add(r)
-                queue.append(r)
-    return frozenset(seen)
+    """Conjugacy class of R in SL(2, Z_n), as matrix tuples.
+
+    h^-1 R h is the twist [[1 - pq, -q^2], [p^2, 1 + pq]] along the first
+    row (p, q) of h, and SL(2, Z) maps onto SL(2, Z_n), so the first rows
+    are exactly the vectors with gcd(p, q, n) = 1.
+    """
+    return frozenset(
+        ((1 - p * q) % n, -q * q % n, p * p % n, (1 + p * q) % n)
+        for p in range(n)
+        for q in range(n)
+        if math.gcd(p, q, n) == 1
+    )
 
 
 def finite_quotient_test(

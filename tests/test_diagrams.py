@@ -320,6 +320,35 @@ def test_recognize():
             assert build_disjoint_axis_diagram(form.q, form.insert) == d
 
 
+@pytest.mark.parametrize(
+    "word", ["LLLLLRRRLLLLLRRR", "LLLRLLLRRRLLLRLLLRRR", "LLLLLLLRRRRRLLLLLLLRRRRR"]
+)
+def test_disjoint_axes_of_even_rotation_order_are_refused(word):
+    # two para-symmetries with disjoint anchors, rotation order even: in
+    # neither family (the only such words up to 24 letters)
+    diagram = CyclicDiagram(word)
+    assert len(para_symmetries(diagram)) == 2
+    with pytest.raises(DomainError, match="outside the shared- and disjoint-axes"):
+        recognize(diagram)
+
+
+def test_two_axis_necklaces_are_recognized_exhaustively():
+    refused = []
+    for m in range(12, 17):
+        for bits in itertools.product("LR", repeat=m):
+            word = "".join(bits)
+            if word != canonical_rotation(word):
+                continue
+            diagram = CyclicDiagram(word)
+            if len(para_symmetries(diagram)) != 2:
+                continue
+            try:
+                assert recognize(diagram).kind in ("shared_axes", "disjoint_axes")
+            except DomainError:
+                refused.append(word)
+    assert refused == ["LLLLLRRRLLLLLRRR"]
+
+
 def _linear_even(word):
     """Evenness of a plain (non-cyclic) word: a product of LL and RR blocks."""
     runs = []

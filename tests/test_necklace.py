@@ -1,11 +1,13 @@
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modtwist import factorization
+from modtwist import cli, factorization
 from modtwist.errors import BudgetError, DomainError, VerificationError
 from modtwist.factorization import (
     Factorization,
@@ -275,10 +277,64 @@ def test_enumeration_matches_brute_force(w, category):
     assert list(result.representatives) == reference
 
 
-def test_enumeration_k2_two_pendants():
+# sha256 of the --out TSV bytes, as written by the (word, class) sweep that
+# the stabilizer reading replaced
+K2_TWO_PENDANT_TSV = {
+    "nonoriented": (13949, "072c42f52f1ff588f2a2a610f2bdf7de24905f8c03d73ec848cf8d7ab0af59cd"),
+    "oriented": (27624, "846e4f2aa49fed44b269d10d77d025e68216998772ebb510f407f794947e8440"),
+}
+
+
+def test_enumeration_k2_two_pendants(tmp_path, capsys):
     # no external reference: the per-word engine this one replaced gives
     # the same count and the same representatives
-    assert enumerate_classes(2, 2).count == 13949
+    for category, (count, digest) in K2_TWO_PENDANT_TSV.items():
+        out = tmp_path / f"{category}.tsv"
+        argv = ["necklace", "enumerate", "--k", "2", "--w", "2", "--category", category]
+        assert cli.main(argv + ["--out", str(out)]) == 0
+        assert json.loads(capsys.readouterr().out)["count"] == count
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, category
+
+
+def _shifted_pair(word, fact):
+    """The shift s on pairs: conjugation by the first stone's monodromy."""
+    return fact.conjugated_by(monodromy(word[0]))
+
+
+def _inverted_pair(fact):
+    """The inverse i on pairs: (m1, m2) -> (tau1(m2), tau1(m1))."""
+    m1, m2 = fact.factors
+    return Factorization((real_involution(TAU1, m2), real_involution(TAU1, m1)))
+
+
+def _check_stabilizer_premises(word):
+    g = monodromy(word)
+    analysis = factorization.analyze(g)
+    for idx, (fact, _) in enumerate(analysis.canonical):
+        assert _inverted_pair(_inverted_pair(fact)) == fact, word
+        # s^-1 conjugates by the inverse of the last stone's monodromy
+        unshifted = fact.conjugated_by(monodromy(word[-1]).inverse())
+        assert _inverted_pair(_shifted_pair(inverse(word), _inverted_pair(fact))) == unshifted
+        # s^n conjugates by g, two Hurwitz moves: the strong class is kept
+        assert analysis.locate(fact.conjugated_by(g)) == idx, word
+
+
+def test_stabilizer_premises_on_every_k1_two_pendant_word():
+    words = ["".join(stones) for stones in itertools.product(STONES, repeat=4)]
+    words = [word for word in words if pendants(word, 2)]
+    assert len(words) > 0
+    for word in words:
+        _check_stabilizer_premises(word)
+
+
+def test_stabilizer_premises_on_sampled_k2_two_pendant_words():
+    rng = random.Random(8)
+    checked = 0
+    while checked < 2000:
+        word = "".join(rng.choice(STONES) for _ in range(10))
+        if pendants(word, 2):
+            _check_stabilizer_premises(word)
+            checked += 1
 
 
 def test_enumeration_deterministic():

@@ -4,7 +4,7 @@ import pytest
 
 from modtwist.errors import BudgetError, DomainError
 from modtwist.factorization import exists_2factorization, oracle_products
-from modtwist.obstructions import finite_quotient_test, trace_test
+from modtwist.obstructions import _twist_class_mod, finite_quotient_test, trace_test
 from modtwist.psl2 import X, dehn_twist, evaluate
 
 
@@ -35,6 +35,39 @@ def test_quotient_examples():
     assert finite_quotient_test(evaluate("L^4"), 5).solvable
     report = finite_quotient_test(evaluate("L^4"), 5)
     assert report.solution_count > 0 and report.modulus == 5
+
+
+def _twist_class_by_conjugation(n):
+    """Reference: the conjugation closure of R under L and R that the
+    closed form replaced."""
+    gens = [(1, 1, 0, 1), (1, 0, 1, 1)]  # L and R generate SL(2, Z_n)
+    start = (1, 0, 1 % n, 1)
+    seen = {start}
+    queue = [start]
+    while queue:
+        a, b, c, d = queue.pop()
+        for ga, gb, gc, gd in gens:
+            # h^-1 * m * h mod n with h the generator
+            ia, ib, ic, id_ = gd, -gb, -gc, ga
+            m00 = ia * a + ib * c
+            m01 = ia * b + ib * d
+            m10 = ic * a + id_ * c
+            m11 = ic * b + id_ * d
+            r = (
+                (m00 * ga + m01 * gc) % n,
+                (m00 * gb + m01 * gd) % n,
+                (m10 * ga + m11 * gc) % n,
+                (m10 * gb + m11 * gd) % n,
+            )
+            if r not in seen:
+                seen.add(r)
+                queue.append(r)
+    return frozenset(seen)
+
+
+def test_twist_class_closed_form_matches_the_conjugation_closure():
+    for n in range(2, 41):
+        assert _twist_class_mod(n) == _twist_class_by_conjugation(n), n
 
 
 def test_quotient_budget():
