@@ -39,6 +39,7 @@ from .diagrams import (
     reflection_symmetries,
 )
 from .errors import DomainError, VerificationError
+from .obstructions import trace_test
 from .psl2 import (
     IDENTITY,
     L,
@@ -230,9 +231,10 @@ class Analysis:
 
 
 # The size covers the 1,600 distinct monodromies of a pass of the benchmark's
-# pendant_stream workload, and the k = 2, w = 2 sweep reads the canonical
-# pairs of only 293 (nonoriented) or 535 (oriented) distinct monodromies, of
-# the 1,342 of its 253,880 passing words.  Records are immutable apart from
+# pendant_stream workload and the 2,912 half-word products of the k = 2,
+# w = 2 sweep that pass the trace test; the sweep reads the canonical pairs
+# of only 293 (nonoriented) or 535 (oriented) distinct monodromies, of the
+# 1,342 of its 253,880 passing words.  Records are immutable apart from
 # their lazily cached fields, and every query returns a fresh list.
 @lru_cache(maxsize=4096)
 def analyze(g: GroupElement) -> Analysis:
@@ -254,7 +256,9 @@ def analyze(g: GroupElement) -> Analysis:
 
 def exists_2factorization(g: GroupElement) -> bool:
     """True iff g is a product of two positive Dehn twists."""
-    return analyze(g).strong_count > 0
+    # a twist pair has SL trace 2 - w^2, so failing the trace test is an exact
+    # no, and 9 in 10 k = 2, w = 2 half-word products then fill no memo entry
+    return trace_test(g) and analyze(g).strong_count > 0
 
 
 def canonical_2factorizations(g: GroupElement) -> list[Factorization]:

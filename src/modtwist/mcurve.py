@@ -11,8 +11,10 @@ same-direction branch pair of the monodromy pseudo-tree.  The assignment
 is pinned by the worked examples: an up arrow contributes an R^2 block
 and a down arrow an L^2 block, read left to right (the unique choice,
 among letter swap / reversal / per-position alternation, matching all
-anchor monodromies; see tests).  The flat necklace diagram is recovered
-from the monodromy cutting word exactly: breaking the even cyclic word
+anchor monodromies; see tests).  The monodromy at infinity L.L.A.L.L.At
+is never multiplied out: with both letters it is cyclically reduced in
+Z3 * Z2, so the cutting word is its class.  The flat necklace diagram is
+recovered from that word exactly: breaking the even cyclic word
 into (L-run, R-run) pairs, a pair (a, b) contributes one stone run of
 length a + 1 followed by b/2 - 1 singleton runs, with stone types
 alternating per run.
@@ -23,10 +25,10 @@ from __future__ import annotations
 from itertools import groupby
 
 from .diagrams import CyclicDiagram, is_even_word, recognize, word_transpose
-from .errors import DomainError, ParseError, VerificationError
+from .errors import BudgetError, DomainError, ParseError, VerificationError
 from .necklace import NecklaceClass, canonicalize
-from .psl2 import ConjugacyClass, classify
-from .skeleton import PseudoTree, monodromy_at_infinity
+from .psl2 import QUOTIENT_SUM_CAP, ConjugacyClass, _cutting_word_class
+from .skeleton import PseudoTree
 
 __all__ = [
     "parse_junction_word",
@@ -99,6 +101,18 @@ def _interior_blocks(word: str) -> str:
     return "".join(ARROW_BLOCK[ch] * 2 for ch in word[1:-1])
 
 
+def _cutting_diagram(word: str) -> CyclicDiagram:
+    """The cyclic word L.L.A.L.L.At, A the doubled blocks of the interior.
+
+    For a zigzag-free word it is the monodromy's cutting word, held to the
+    element cap before it is built; the stone accounting of a word with a
+    zigzag end holds no element and is not capped."""
+    if word[0] == word[-1] == "*" and 4 + 4 * len(word[1:-1]) > QUOTIENT_SUM_CAP:
+        raise BudgetError(f"the monodromy's cutting word exceeds {QUOTIENT_SUM_CAP} letters")
+    blocks = _interior_blocks(word)
+    return CyclicDiagram("LL" + blocks + "LL" + word_transpose(blocks))
+
+
 def _require_zigzag_free(word: str) -> str:
     word = parse_junction_word(word)
     if len(word) < 2 or word[0] != "*" or word[-1] != "*":
@@ -121,7 +135,7 @@ def branch_word(word: str) -> PseudoTree:
 
 def monodromy_class(word: str) -> ConjugacyClass:
     """Conjugacy class of the monodromy at infinity of a zigzag-free curve."""
-    return classify(monodromy_at_infinity(branch_word(word)))
+    return _cutting_word_class(_cutting_diagram(_require_zigzag_free(word)).letters)
 
 
 def _stones_from_even_cutting(letters: str) -> str:
@@ -165,9 +179,7 @@ def flat_diagram(word: str) -> NecklaceClass:
     if d == 1:
         ovals = "O"
     else:
-        blocks = _interior_blocks("*" + word[1:-1] + "*")
-        cutting = CyclicDiagram("LL" + blocks + "LL" + word_transpose(blocks))
-        ovals = _stones_from_even_cutting(cutting.letters)
+        ovals = _stones_from_even_cutting(_cutting_diagram(word).letters)
     if word[0] == "*" and word[-1] == "*":
         return canonicalize(ovals, category)
     stones = ovals
@@ -184,9 +196,7 @@ def classes_sharing_real_part(word: str) -> int:
     Two iff the monodromy presents with two disjoint para-symmetry axes
     and an even inserted word, or is the even shared-axes chain (m = 0).
     """
-    word = _require_zigzag_free(word)
-    cls = monodromy_class(word)
-    form = recognize(CyclicDiagram(cls.diagram_word))
+    form = recognize(_cutting_diagram(_require_zigzag_free(word)))
     if form.kind == "disjoint_axes" and is_even_word(form.insert):
         return 2
     if form.kind == "shared_axes" and form.m == 0:

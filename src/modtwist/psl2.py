@@ -431,22 +431,34 @@ def normal_form(g: GroupElement) -> SyllableWord:
     return SyllableWord(tuple(stack))
 
 
-# One normal form per element serves classify, cutting_conjugator,
-# conjugator_to_rep, primitive_root and is_real_element.  The size covers
-# the 1,600 distinct monodromies of a pass of the pendant_stream benchmark
-# workload and the 2,912 distinct passing products of the k = 2, w = 2
-# enumeration; the results are immutable, so sharing them is safe.
-@lru_cache(maxsize=4096)
-def _classify_full(g: GroupElement):
-    """Returns (ConjugacyClass, u, found) with g = u * eval * u^-1.
+# The classes without a cutting word: representative and abelian degree.
+_ELLIPTIC = {
+    "identity": (IDENTITY, 0),
+    "elliptic_order2": (Y, 3),
+    "elliptic_order3_pos": (X, 2),
+    "elliptic_order3_neg": (_X_POWERS[2], 4),
+}
 
-    The class is canonical: hyperbolic cutting words are least rotations.
-    For parabolic and hyperbolic classes, found is the rotation of the
-    cutting word produced by cyclic reduction, and
-    g = u * evaluate(found) * u^-1 holds exactly.  For the other kinds
-    found is the single syllable (gen, exp) of the middle element
-    (identity, Y, X or X^2; None for the identity).
-    """
+
+def _cutting_word_class(letters: str) -> ConjugacyClass:
+    """The class of a cyclic word over L, R.  A word with both letters is
+    cyclically reduced in Z3 * Z2, so it is its own class up to rotation."""
+    if "R" not in letters:
+        return ConjugacyClass("parabolic", index=-len(letters))
+    if "L" not in letters:
+        return ConjugacyClass("parabolic", index=len(letters))
+    return ConjugacyClass("hyperbolic", cutting_word=canonical_rotation(letters))
+
+
+# One normal form and one conjugator per element serve every class query.
+# The size covers the 1,600 distinct monodromies of a pass of the
+# pendant_stream benchmark workload and the 2,912 elements the k = 2, w = 2
+# enumeration classifies (its half-word products that pass the trace test);
+# the results are immutable, so sharing them is safe.
+@lru_cache(maxsize=4096)
+def _classify_full(g: GroupElement) -> tuple[ConjugacyClass, GroupElement]:
+    """(cls, h) with g = h^-1 * rep * h exactly, rep the identity, Y, X or X^2
+    (_ELLIPTIC) or else evaluate(cls.diagram_word)."""
     syl = normal_form(g).syllables
     # peel syl[i] and syl[j - 1] off both ends while they come from one
     # factor; a nonzero merged syllable ends the reduction, since the
@@ -459,18 +471,14 @@ def _classify_full(g: GroupElement):
         if merged:
             tail = ((gen, merged),)
             break
+    # g = u * evaluate(syl) * u^-1 from here on
     u = product(_generator_power(*s) for s in syl[:i])
     syl = list(syl[i:j] + tail)
 
-    if not syl:
-        return ConjugacyClass("identity"), u, None
-    if len(syl) == 1:
-        gen, exp = syl[0]
-        if gen == "Y":
-            kind = "elliptic_order2"
-        else:
-            kind = "elliptic_order3_pos" if exp == 1 else "elliptic_order3_neg"
-        return ConjugacyClass(kind), u, (gen, exp)
+    if len(syl) < 2:
+        rep = product(_generator_power(*s) for s in syl)
+        kind = next(k for k, (e, _) in _ELLIPTIC.items() if e == rep)
+        return ConjugacyClass(kind), u.inverse()
 
     if syl[0][0] == "Y":
         # rotate one syllable so the word starts in the Z3 factor
@@ -479,11 +487,10 @@ def _classify_full(g: GroupElement):
     letters = "".join("L" if exp == 1 else "R" for gen, exp in syl if gen == "X")
     if 2 * len(letters) != len(syl):
         raise VerificationError(f"cyclic reduction of {g} does not alternate")
-    if "R" not in letters:
-        return ConjugacyClass("parabolic", index=-len(letters)), u, letters
-    if "L" not in letters:
-        return ConjugacyClass("parabolic", index=len(letters)), u, letters
-    return ConjugacyClass("hyperbolic", cutting_word=canonical_rotation(letters)), u, letters
+    cls = _cutting_word_class(letters)
+    r = (letters + letters).index(cls.diagram_word)
+    # evaluate(letters) = p * evaluate(canon) * p^-1 for p = evaluate(letters[:r])
+    return cls, (u * evaluate(letters[:r])).inverse()
 
 
 def classify(g: GroupElement) -> ConjugacyClass:
@@ -494,15 +501,10 @@ def classify(g: GroupElement) -> ConjugacyClass:
 def cutting_conjugator(g: GroupElement) -> tuple[GroupElement, str]:
     """(h, w) with w the canonical rotation of the cutting word and
     g = h^-1 * evaluate(w) * h exactly.  Parabolic or hyperbolic g only."""
-    cls, u, found = _classify_full(g)
-    canon = cls.diagram_word
-    if canon is None:
+    cls, h = _classify_full(g)
+    if cls.diagram_word is None:
         raise DomainError(f"{cls.kind} element has no cutting word")
-    r = (found + found).index(canon)
-    prefix = evaluate(found[:r])
-    # evaluate(found) = prefix * evaluate(canon) * prefix^-1
-    h = (u * prefix).inverse()
-    return h, canon
+    return h, cls.diagram_word
 
 
 def conjugator_to_rep(g: GroupElement) -> tuple[GroupElement, GroupElement]:
@@ -512,21 +514,12 @@ def conjugator_to_rep(g: GroupElement) -> tuple[GroupElement, GroupElement]:
     classes), or the evaluation of the canonical rotation of the cutting
     word for hyperbolic classes.
     """
-    cls, u, found = _classify_full(g)
-    if cls.kind == "identity":
-        return IDENTITY, IDENTITY
-    if cls.kind in ("elliptic_order2", "elliptic_order3_pos", "elliptic_order3_neg"):
-        rep = _generator_power(*found)
-        return u.inverse(), rep
-    if cls.kind == "parabolic":
-        n = cls.index
-        if n > 0:
-            # found is R^n on the nose
-            return u.inverse(), R**n
-        # g = u * L^|n| * u^-1 and L^|n| = Y * R^n * Y^-1
-        return (u * Y).inverse(), R**n
-    h, canon = cutting_conjugator(g)
-    return h, evaluate(canon)
+    cls, h = _classify_full(g)
+    if cls.kind == "parabolic" and cls.index < 0:
+        # L^|n| = Y * R^n * Y^-1, and Y^-1 = Y in PSL(2,Z)
+        return Y * h, R**cls.index
+    word = cls.diagram_word
+    return h, _ELLIPTIC[cls.kind][0] if word is None else evaluate(word)
 
 
 def dehn_twist(v: TwistVector | tuple[int, int]) -> GroupElement:
@@ -590,15 +583,6 @@ def primitive_root(g: GroupElement) -> tuple[GroupElement, int]:
     return root, n
 
 
-# degrees of the elliptic class representatives identity, Y, X, X^2
-_ELLIPTIC_DEGREE = {
-    "identity": 0,
-    "elliptic_order2": 3,
-    "elliptic_order3_pos": 2,
-    "elliptic_order3_neg": 4,
-}
-
-
 def abelian_degree(g: GroupElement) -> int:
     """Image of g under the abelianization PSL(2,Z) ->> Z6 with deg R = 1.
 
@@ -608,5 +592,5 @@ def abelian_degree(g: GroupElement) -> int:
     cls = classify(g)
     word = cls.diagram_word
     if word is None:
-        return _ELLIPTIC_DEGREE[cls.kind]
+        return _ELLIPTIC[cls.kind][1]
     return (word.count("R") - word.count("L")) % 6

@@ -235,6 +235,9 @@ def test_result_integer_past_the_digit_limit_exits_4(capsys):
         # largest uudd word under the cap: its rotation fraction 10921/21841
         # is read off the l/r block pattern
         ["mcurve", "*" + "uudd" * 5460 + "*"],
+        # a cutting word of 128,004 letters, whose multiplied-out monodromy
+        # would peel past the cap
+        ["mcurve", "*" + "uudd" * 8000 + "*"],
     ],
 )
 def test_long_inputs_below_the_cap_answer_quickly(capsys, argv):
@@ -242,6 +245,15 @@ def test_long_inputs_below_the_cap_answer_quickly(capsys, argv):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0 and json.loads(out)
     assert time.perf_counter() - start < 5
+
+
+def test_junction_word_past_the_cap_is_refused_before_any_work(capsys):
+    # a cutting word of 262,068 letters: refused from the word's length
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "mcurve", "*" + "uudd" * 16379 + "*")
+    assert (code, out) == (4, "")
+    assert "budget" in err
+    assert time.perf_counter() - start < 1
 
 
 # -- every input answers or exits 2, 3 or 4 --------------------------------
@@ -288,8 +300,15 @@ BUDGET_CALLS = st.one_of(
         st.sampled_from(["oriented", "nonoriented"]),
     ).map(lambda c: ["necklace", "enumerate", "--k", str(c[0]), "--w", c[1], "--category", c[2]]),
 )
+# zigzag-free words whose cutting word is at the cap and one arrow past it,
+# and a zigzag word as long, whose stone accounting holds no element
+LONG_JUNCTIONS = st.sampled_from(
+    ["*" + "u" * 32767 + "*", "*" + "u" * 32768 + "*", "." + "ud" * 16384 + "u"]
+)
 JUNCTION_CALLS = st.tuples(
-    st.text(alphabet="ud*.", max_size=30) | st.text(alphabet="udx* ", max_size=6),
+    st.text(alphabet="ud*.", max_size=30)
+    | st.text(alphabet="udx* ", max_size=6)
+    | LONG_JUNCTIONS,
     st.sampled_from([[], ["--directed"]]),
 ).map(lambda c: ["mcurve", c[0], *c[1]])
 

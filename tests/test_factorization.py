@@ -24,6 +24,7 @@ from modtwist.factorization import (
     pair,
     strong_class_labels,
 )
+from modtwist.obstructions import trace_test
 from modtwist.psl2 import (
     IDENTITY,
     L,
@@ -79,6 +80,15 @@ def test_exists_examples():
     assert not exists_2factorization(X.inverse())
     assert not exists_2factorization(evaluate("L^2"))
     assert not exists_2factorization(evaluate("R^4"))
+
+
+def test_a_failing_trace_test_builds_no_analysis():
+    # trace 3: neither 2 - 3 nor 2 + 3 is a square, so no pair of twists
+    g = evaluate("L R")
+    assert not trace_test(g)
+    before = analyze.cache_info().currsize
+    assert not exists_2factorization(g)
+    assert analyze.cache_info().currsize == before
 
 
 def test_count_classes_examples():

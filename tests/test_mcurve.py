@@ -16,6 +16,7 @@ from modtwist.factorization import (
 )
 from modtwist.mcurve import (
     ARROW_BLOCK,
+    _cutting_diagram,
     branch_word,
     canonical_class,
     classes_sharing_real_part,
@@ -103,6 +104,17 @@ def test_degree30_monodromy_class():
     for word in ["*dudduudu*", "*duududdu*"]:
         cls = monodromy_class(word)
         assert CyclicDiagram(cls.diagram_word) == target
+
+
+def test_cutting_word_matches_the_multiplied_out_monodromy():
+    # the matrix path, classify(L.L.A.L.L.At multiplied out), is the reference
+    for length in range(11):
+        for arrows in itertools.product("ud", repeat=length):
+            word = "*" + "".join(arrows) + "*"
+            reference = classify(monodromy_at_infinity(branch_word(word)))
+            assert monodromy_class(word) == reference, word
+            # the diagram classes_sharing_real_part recognizes
+            assert _cutting_diagram(word) == CyclicDiagram(reference.diagram_word), word
 
 
 def test_degree30_pair_separates_strong_classes():

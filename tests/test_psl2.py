@@ -343,6 +343,9 @@ def test_conjugator_to_rep():
     for g in _random_elements(100, seed=13):
         h, rep = conjugator_to_rep(g)
         assert h.inverse() * rep * h == g
+        if classify(g).diagram_word is not None:
+            h, w = cutting_conjugator(g)
+            assert h.inverse() * evaluate(w) * h == g
 
 
 def test_dehn_twist_formula():
