@@ -203,6 +203,8 @@ def build_disjoint_axis_diagram(
     between consecutive base letters and l, r are doubled to LL, RR.
     """
     if not isinstance(q, Fraction):
+        if q[1] == 0:
+            raise DomainError(f"rotation fraction has denominator 0: {q}")
         q = Fraction(*q)
     num, den = q.numerator, q.denominator
     if not (0 < q < 1) or num % 2 == 0 or den % 2 == 0 or den < 3:

@@ -2,19 +2,20 @@
 
 A 2-factorization of g is an ordered pair of positive Dehn twists whose
 product is g.  Strong equivalence is generated by the single Hurwitz move
-(m1, m2) -> (m1 m2 m1^-1, m1); weak equivalence allows an additional
-global conjugation.  Since the braid group on two strands is infinite
-cyclic, the strong orbit of a pair is the bi-infinite sequence of
-iterated Hurwitz moves, and the square of the move conjugates the pair by
-its product g.  Every other pair along the walk therefore has its first
-twist vector in one <g>-orbit, whose norms p^2 + q^2 follow
+(m1, m2) -> (m1 m2 m1^-1, m1), an integer transvection on the twist
+vectors (see _move); weak equivalence allows an additional global
+conjugation.  Since the braid group on two strands is infinite cyclic, the
+strong orbit of a pair is the bi-infinite sequence of iterated Hurwitz
+moves, and the square of the move conjugates the pair by its product g.
+Every other pair along the walk therefore has its first twist vector in
+one <g>-orbit, whose norms p^2 + q^2 (|b| + |c| of the twist) follow
 A mu^k + B mu^-k + C for hyperbolic g (both coefficients positive, since
 an integer vector is never an eigenvector) and a quadratic in k for
 parabolic g: a strictly convex function of k.  Once such a norm has risen
-it keeps rising, and each pair shares a factor with its neighbour on the
-walk, which makes strong equivalence decidable by an exact walk (see
-decide_strong_equivalence).  A finite orbit holds one pair (equal twists)
-or three (g conjugate to X, the only elliptic product of two twists).
+it keeps rising, and each pair shares a twist with its neighbour on the
+walk, which makes strong equivalence decidable by an exact walk on vector
+pairs (see _walk).  A finite orbit holds one pair (equal twists) or three
+(g conjugate to X, the only elliptic product of two twists).
 
 Existence and the count of strong classes are governed by the
 para-symmetries of the cyclic diagram: an element is 2-factorizable iff
@@ -26,7 +27,7 @@ presentation yields the explicit pair
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from math import gcd
 from typing import Iterator, Optional
@@ -41,7 +42,6 @@ from .diagrams import (
 from .errors import DomainError, VerificationError
 from .obstructions import trace_test
 from .psl2 import (
-    IDENTITY,
     L,
     R,
     X,
@@ -80,22 +80,21 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Factorization:
-    """An ordered sequence of positive Dehn twists."""
+    """An ordered sequence of positive Dehn twists, with their twist vectors."""
 
     factors: tuple[GroupElement, ...]
+    vectors: tuple[TwistVector, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for f in self.factors:
-            if twist_vector(f) is None:
-                raise DomainError(f"factor {f} is not a positive Dehn twist")
+        vectors = tuple(map(twist_vector, self.factors))
+        if None in vectors:
+            bad = self.factors[vectors.index(None)]
+            raise DomainError(f"factor {bad} is not a positive Dehn twist")
+        object.__setattr__(self, "vectors", vectors)
 
     @property
     def product(self) -> GroupElement:
         return product(self.factors)
-
-    @property
-    def vectors(self) -> tuple[TwistVector, ...]:
-        return tuple(twist_vector(f) for f in self.factors)
 
     def __len__(self):
         return len(self.factors)
@@ -108,17 +107,26 @@ def pair(m1: GroupElement, m2: GroupElement) -> Factorization:
     return Factorization((m1, m2))
 
 
+def _move(u: TwistVector, v: TwistVector, direction: int) -> tuple[TwistVector, TwistVector]:
+    """The Hurwitz move on the twist vectors of a pair (direction -1 inverts it).
+
+    t_u acts on row vectors as x -> x + (u^x) u, with u^x = u0 x1 - u1 x0, and
+    h^-1 t_v h = t_{v h}; so (t_u t_v t_u^-1, t_u) is (v - (u^v) u, u) and
+    (t_v, t_v^-1 t_u t_v) is (v, u - (u^v) v), whatever the signs of u and v.
+    """
+    (p, q), (r, s) = u, v
+    wedge = p * s - q * r
+    if direction >= 0:
+        return TwistVector(r - wedge * p, s - wedge * q), u
+    return v, TwistVector(p - wedge * r, q - wedge * s)
+
+
 def hurwitz_move(f: Factorization, i: int, direction: int = 1) -> Factorization:
     """Hurwitz move at 1-based position i (direction -1 is the inverse move)."""
     if not 1 <= i < len(f):
         raise DomainError(f"move index {i} out of range for length {len(f)}")
-    factors = list(f.factors)
-    a, b = factors[i - 1], factors[i]
-    if direction >= 0:
-        factors[i - 1], factors[i] = a * b * a.inverse(), a
-    else:
-        factors[i - 1], factors[i] = b, b.inverse() * a * b
-    return Factorization(tuple(factors))
+    u, v = _move(f.vectors[i - 1], f.vectors[i], direction)
+    return Factorization(f.factors[: i - 1] + (dehn_twist(u), dehn_twist(v)) + f.factors[i + 1 :])
 
 
 @dataclass(frozen=True)
@@ -187,11 +195,7 @@ class Analysis:
         if self.family is None:
             return ()
         h, _ = conjugator_to_rep(g)
-        if self.family == "full_group":
-            fact = pair(R, L.inverse()).conjugated_by(h)
-        else:
-            root = R.conjugated_by(h)
-            fact = pair(root, root)
+        fact = pair(R, L.inverse() if self.family == "full_group" else R).conjugated_by(h)
         return ((_verify(fact, g), StrongClassLabel(self.family)),)
 
     def _axis_factorizations(self):
@@ -213,15 +217,12 @@ class Analysis:
 
     def locate(self, fact: Factorization) -> int:
         """Index of the one canonical strong class that holds the pair fact."""
-        matches = [
-            i
-            for i, (canonical, _) in enumerate(self.canonical)
-            if decide_strong_equivalence(fact, canonical)
-        ]
+        g = self.element
+        if len(fact) != 2 or fact.product != g:
+            raise DomainError(f"{fact} is not a pair of twists with product {g}")
+        matches = _walk(fact, [canonical for canonical, _ in self.canonical])
         if len(matches) != 1:
-            raise VerificationError(
-                f"{fact} lies in {len(matches)} strong classes of {self.element}"
-            )
+            raise VerificationError(f"{fact} lies in {len(matches)} strong classes of {g}")
         return matches[0]
 
     @cached_property
@@ -277,61 +278,59 @@ def count_classes(g: GroupElement) -> tuple[int, int]:
     return analysis.strong_count, analysis.weak_count
 
 
-def _norm(twist: GroupElement) -> int:
-    """p^2 + q^2 for the twist +-[[1 - pq, -q^2], [p^2, 1 + pq]]."""
-    return abs(twist.b) + abs(twist.c)
+def _walk(f: Factorization, targets: list[Factorization]) -> list[int]:
+    """Indices of the target pairs on the strong orbit of the pair f.
+
+    Walks the twist vectors of f both ways with _move and validates nothing.
+    On an infinite orbit the first-vector norms at every other step are
+    strictly convex (see the module docstring): once the norm at step s has
+    risen over step s - 2, it keeps rising at that parity.  A later pair of
+    the other parity holds the first vector of an adjacent step of that
+    parity, at or beyond s, as the move keeps u and its inverse keeps v.  So
+    once that norm also exceeds bound, the largest norm of a target vector,
+    no later pair is a target.  A finite orbit has at most three pairs, each
+    at most one move from f either way, so the cutoff, which needs two
+    moves, skips none.
+    """
+    at: dict[tuple[TwistVector, ...], list[int]] = {}
+    for i, target in enumerate(targets):
+        at.setdefault(target.vectors, []).append(i)
+    bound = max((p * p + q * q for t in targets for p, q in t.vectors), default=0)
+    start, hits = f.vectors, []
+    for direction in (1, -1):
+        (u, v), norms = start, [start[0][0] ** 2 + start[0][1] ** 2]
+        while not (len(norms) > 2 and norms[-3] < norms[-1] > bound):
+            hits += at.pop((u, v), ())
+            if not at:  # every target found
+                return sorted(hits)
+            u, v = _move(u, v, direction)
+            if (u, v) == start:  # a finite orbit, fully explored
+                return sorted(hits)
+            norms.append(u[0] * u[0] + u[1] * u[1])
+    return sorted(hits)
 
 
 def decide_strong_equivalence(f1: Factorization, f2: Factorization) -> bool:
-    """True iff f1 and f2 are related by Hurwitz moves alone.
-
-    Walks f1 both ways along its strong orbit.  On an infinite orbit the
-    first-factor norms at every other step are strictly convex (see the
-    module docstring), so once the norm at step s has risen over step s - 2,
-    it keeps rising at the later steps of that parity.  A later pair of the
-    other parity has as a factor the first factor of an adjacent step of
-    that parity, at or beyond s, since the move (a, b) -> (a b a^-1, a)
-    keeps a.  So once the norm at step s also exceeds the norms of both
-    factors of f2, no later pair can be f2 and the direction stops.  A
-    finite orbit has at most three pairs, each at most one move from f1
-    one way or the other, so the cutoff, which needs two moves, skips none.
-    """
+    """True iff f1 and f2 are related by Hurwitz moves alone (see _walk)."""
     if len(f1) != 2 or len(f2) != 2:
         raise DomainError("strong equivalence is implemented for pairs")
     if f1.product != f2.product:
         raise DomainError("strong equivalence preserves the product; products differ")
-    target = max(_norm(m) for m in f2.factors)
-    for direction in (1, -1):
-        cur, norms = f1, [_norm(f1.factors[0])]
-        while not (len(norms) > 2 and norms[-3] < norms[-1] > target):
-            if cur == f2:
-                return True
-            cur = hurwitz_move(cur, 1, direction)
-            if cur == f1:
-                # finite orbit, fully explored
-                return False
-            norms.append(_norm(cur.factors[0]))
-    return False
+    return bool(_walk(f1, [f2]))
 
 
 def decide_weak_equivalence(f1: Factorization, f2: Factorization) -> bool:
     """True iff f1 and f2 are related by Hurwitz moves plus a conjugation."""
-    if f1.product != f2.product:
+    g = f1.product
+    if g != f2.product:
         raise DomainError("weak equivalence is decided for equal products")
     if decide_strong_equivalence(f1, f2):
         return True
-    g = f1.product
     if analyze(g).cls.kind.startswith("elliptic"):
-        # centralizer is generated by g itself; conjugation by g is an
-        # even power of the Hurwitz move, already covered
+        # the centralizer is <g>, and conjugation by g is two Hurwitz moves
         return False
     root, n = primitive_root(g)
-    conj = IDENTITY
-    for _ in range(1, n):
-        conj = conj * root
-        if decide_strong_equivalence(f1.conjugated_by(conj), f2):
-            return True
-    return False
+    return bool(_walk(f2, [f1.conjugated_by(root**k) for k in range(1, n)]))
 
 
 @dataclass(frozen=True)

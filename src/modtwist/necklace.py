@@ -269,13 +269,11 @@ def pendants(word: str, w: int) -> list[StrongClassLabel]:
     otherwise.
     """
     m = monodromy(word)
-    if w == 0:
-        return [StrongClassLabel("empty")] if m == IDENTITY else []
-    if w == 1:
-        return [StrongClassLabel("single_twist")] if twist_vector(m) else []
-    if w == 2:
-        return strong_class_labels(m)
-    raise DomainError("pendant weight must be 0, 1 or 2")
+    if w not in _HAS_PENDANT:
+        raise DomainError("pendant weight must be 0, 1 or 2")
+    if not _HAS_PENDANT[w](m):
+        return []
+    return strong_class_labels(m) if w == 2 else [_ONE_PENDANT[w]]
 
 
 @dataclass(frozen=True)
@@ -299,12 +297,13 @@ class EnumerationResult:
 
 DEFAULT_WORD_BUDGET = 4**14
 
-# the pendant condition on a monodromy, per weight w
+# the pendant condition on a monodromy per weight w, and the one label for w <= 1
 _HAS_PENDANT = {
     0: lambda g: g == IDENTITY,
     1: lambda g: twist_vector(g) is not None,
     2: exists_2factorization,
 }
+_ONE_PENDANT = {0: StrongClassLabel("empty"), 1: StrongClassLabel("single_twist")}
 
 
 def _stone_products(length: int) -> list[tuple[str, GroupElement]]:
@@ -433,7 +432,7 @@ def enumerate_classes(
             if idx == 0 or not _stabilizer_swaps(word, found[word], category)
         ]
     else:
-        label = StrongClassLabel("empty" if w == 0 else "single_twist").describe()
+        label = _ONE_PENDANT[w].describe()
         reps = [(word, label) for word in _orbit_minima(found, category)]
     return EnumerationResult(
         k=k,

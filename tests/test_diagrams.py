@@ -297,6 +297,8 @@ def test_disjoint_axis_diagrams():
         build_disjoint_axis_diagram((2, 4))
     with pytest.raises(DomainError):
         build_disjoint_axis_diagram((1, 2))
+    with pytest.raises(DomainError):
+        build_disjoint_axis_diagram((1, 0))
     # (3, 9) reduces to the valid fraction 1/3
     assert build_disjoint_axis_diagram((3, 9)) == build_disjoint_axis_diagram((1, 3))
     d = build_disjoint_axis_diagram(Fraction(3, 5), "LR")

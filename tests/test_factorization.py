@@ -1,5 +1,7 @@
+import copy
 import math
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +14,7 @@ from modtwist import factorization, psl2
 from modtwist.diagrams import build_disjoint_axis_diagram, word_transpose
 from modtwist.errors import DomainError, VerificationError
 from modtwist.factorization import (
+    Factorization,
     analyze,
     canonical_2factorizations,
     count_classes,
@@ -36,6 +39,7 @@ from modtwist.psl2 import (
     classify,
     dehn_twist,
     evaluate,
+    primitive_root,
     twist_vector,
 )
 
@@ -46,6 +50,45 @@ def test_factorization_validates_twists():
     f = pair(R, L.inverse())
     assert f.product == X
     assert f.vectors == (TwistVector(1, 0), TwistVector(0, 1))
+
+
+def test_factorization_vectors_leave_value_semantics_alone():
+    f = pair(R, L.inverse())
+    assert repr(f) == "Factorization(factors=(GroupElement(1, 0, 1, 1), GroupElement(1, -1, 0, 1)))"
+    assert hash(f) == hash((f.factors,))
+    for clone in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f), pair(R, L.inverse())):
+        assert clone == f and hash(clone) == hash(f) and repr(clone) == repr(f)
+        assert clone.vectors == (TwistVector(1, 0), TwistVector(0, 1))
+    assert f != pair(L.inverse(), R)
+
+
+def _matrix_move(f, direction):
+    """Reference: the Hurwitz move at position 1, multiplied out on matrices."""
+    a, b = f.factors
+    if direction >= 0:
+        return pair(a * b * a.inverse(), a)
+    return pair(b, b.inverse() * a * b)
+
+
+_primitive = st.tuples(st.integers(-30, 30), st.integers(-30, 30)).filter(
+    lambda v: math.gcd(*v) == 1
+)
+_elements = st.lists(st.sampled_from(["L", "R", "L^-1", "R^-1", "X", "Y"]), max_size=8).map(
+    lambda letters: evaluate(" ".join(letters)) if letters else IDENTITY
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_primitive, _primitive, _elements)
+def test_vector_move_is_the_matrix_move(u, v, h):
+    f = pair(dehn_twist(u), dehn_twist(v))
+    for direction in (1, -1):
+        moved = factorization._move(*f.vectors, direction)
+        assert moved == _matrix_move(f, direction).vectors
+        assert hurwitz_move(f, 1, direction) == _matrix_move(f, direction)
+    # h^-1 t_v h = t_{v h}, v a row vector
+    (p, q), (a, b, c, d) = v, h
+    assert dehn_twist(v).conjugated_by(h) == dehn_twist((p * a + q * c, p * b + q * d))
 
 
 def test_hurwitz_move_examples():
@@ -174,7 +217,7 @@ def _streak_walk(f1, f2):
         while streak < 8:
             if cur == f2:
                 return True
-            cur = hurwitz_move(cur, 1, direction)
+            cur = _matrix_move(cur, direction)
             if cur == f1:
                 return False
             streak = streak + 1 if _max_entry(cur) > threshold else 0
@@ -201,9 +244,46 @@ def test_locate_agrees_with_the_streak_walk():
 def test_locate_raises_unless_one_class_matches(monkeypatch):
     f1, f2 = canonical_2factorizations(evaluate("L^4"))
     assert [analyze(f1.product).locate(f) for f in (f1, f2)] == [0, 1]
-    monkeypatch.setattr(factorization, "decide_strong_equivalence", lambda a, b: True)
-    with pytest.raises(VerificationError):
-        analyze(f1.product).locate(f1)
+    for matches in ([], [0, 1]):
+        monkeypatch.setattr(factorization, "_walk", lambda f, targets: matches)
+        with pytest.raises(VerificationError):
+            analyze(f1.product).locate(f1)
+
+
+@pytest.mark.parametrize(
+    "g, fact",
+    [
+        (Y, pair(R, R)),  # Y has no classes
+        (evaluate("R^3 L R^2"), pair(R, L.inverse())),  # nor has R^3 L R^2
+        (evaluate("L^4"), pair(R, L.inverse())),
+        (X, Factorization((R,))),
+        (X, Factorization((R, L.inverse(), R))),
+    ],
+)
+def test_locate_refuses_a_pair_of_another_element(g, fact):
+    with pytest.raises(DomainError):
+        analyze(g).locate(fact)
+
+
+def test_weak_classes_match_the_weak_count():
+    # grouping the canonical pairs by weak equivalence gives the weak count;
+    # 140 of these products are hyperbolic with two classes and a proper root
+    products = {g: None for _, _, g in oracle_products(6)}
+    rooted = 0
+    for g in products:
+        facts = canonical_2factorizations(g)
+        groups = []
+        for f in facts:
+            for group in groups:
+                if decide_weak_equivalence(group[0], f):
+                    group.append(f)
+                    break
+            else:
+                groups.append([f])
+        assert len(groups) == count_classes(g)[1], g
+        if len(facts) == 2 and classify(g).kind == "hyperbolic" and primitive_root(g)[1] > 1:
+            rooted += 1
+    assert len(products) == 2050 and rooted == 140
 
 
 def test_equal_twists_orbit_is_fixed():

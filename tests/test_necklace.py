@@ -11,6 +11,7 @@ from modtwist import cli, factorization
 from modtwist.errors import BudgetError, DomainError, VerificationError
 from modtwist.factorization import (
     Factorization,
+    analyze,
     canonical_2factorizations,
     decide_strong_equivalence,
 )
@@ -187,6 +188,16 @@ def test_pendants():
         assert twist_vector(monodromy(word)) is not None
 
 
+def test_a_failing_trace_test_builds_no_analysis_in_pendants():
+    # trace 6: neither 2 - 6 nor 2 + 6 is a square, so no pair of twists
+    assert monodromy("OOS").trace == 6
+    before = analyze.cache_info().currsize
+    assert pendants("OOS", 2) == []
+    assert analyze.cache_info().currsize == before
+    with pytest.raises(DomainError):
+        pendants("OOS", 3)
+
+
 def test_pendant_degree_constraint():
     rng = random.Random(17)
     for _ in range(200):
@@ -345,7 +356,7 @@ def test_enumeration_deterministic():
 
 
 def test_transport_mismatch_raises(monkeypatch):
-    monkeypatch.setattr(factorization, "decide_strong_equivalence", lambda f1, f2: False)
+    monkeypatch.setattr(factorization, "_walk", lambda f, targets: [])
     with pytest.raises(VerificationError):
         enumerate_classes(1, 2)
 
