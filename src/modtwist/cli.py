@@ -143,9 +143,12 @@ def _cmd_necklace(args) -> dict:
         budget=_budget(),
     )
     if args.out:
-        with open(args.out, "w") as handle:
-            for word, label in result.representatives:
-                handle.write(f"{word}\t{label}\n")
+        try:
+            with open(args.out, "w") as handle:
+                for word, label in result.representatives:
+                    handle.write(f"{word}\t{label}\n")
+        except OSError as exc:
+            raise ParseError(f"cannot write --out {args.out}: {exc.strerror}") from None
     return result.summary()
 
 

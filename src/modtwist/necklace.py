@@ -16,16 +16,18 @@ the pendant condition (monodromy = id for w = 0, a positive twist for
 w = 1, 2-factorizable for w = 2) and counts orbits; for w = 2 the objects
 are (diagram, strong-class) pairs, and the pair orbits over a word orbit
 are read off the action of the orbit-minimal word's stabilizer on its
-classes (see _stabilizer_swaps).  The filter joins the histograms of the
-two half-words over their distinct monodromies, so the condition is
-decided once per distinct product and only passing words are spelled out;
-the orbits of every weight are counted in one sorted sweep.
+classes (see _stabilizer_swaps).  The filter joins the half-words over
+their distinct monodromies, deciding the condition once per distinct
+product, and spells out only candidate orbit minima (a prenecklace head
+and a tail no less than it); one sorted sweep over them counts orbits.
 """
 
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 from .diagrams import canonical_rotation
@@ -186,7 +188,9 @@ def stats(word: str, k: Optional[int] = None, w: Optional[int] = None) -> Neckla
     if k is not None or w is not None:
         if k is None or w is None:
             raise DomainError("maximality context needs both k and w")
-        if w not in (0, 1, 2) or k < 1 or 6 * k - w != n:
+        if w not in (0, 1, 2):
+            raise DomainError(f"w must be 0, 1 or 2, not {w}")
+        if k < 1 or 6 * k - w != n:
             raise DomainError(
                 f"inconsistent context: length {n} but 6k - w = {6 * k - w}"
             )
@@ -233,31 +237,40 @@ class PendantDiagram:
 
 
 def _orbit_cycles(word: str, category: str) -> list[str]:
-    """Cyclic words whose length-n windows are the orbit of word: the seeds
-    (word, its inverse, their duals), or s + dual(s) for a twisted seed s."""
-    validate_stone_word(word)
-    if category not in CATEGORIES:
-        raise DomainError(f"unknown category {category!r}")
+    """Cyclic words whose length-n windows are the orbit of word (unvalidated):
+    the seeds (word, its inverse, their duals), or s + dual(s) for a twisted seed s."""
     seeds = {word}
     if category.endswith("nonoriented"):
-        seeds.add(inverse(word))
+        seeds.add(word[::-1].translate(_INVERT_STONE))
     if category.startswith("flat"):
-        seeds |= {dual(s) for s in seeds}
+        seeds |= {s.translate(_DUAL) for s in seeds}
     if category.startswith("twisted"):
-        return [s + dual(s) for s in seeds]
+        return [s + s.translate(_DUAL) for s in seeds]
     return list(seeds)
 
 
-def orbit(word: str, category: str) -> set[str]:
-    """All stone words in the orbit of word under the category's group."""
+def _windows(word: str, category: str) -> set[str]:
+    """orbit() without its checks: the orbit of a valid word in a valid category."""
     n = len(word)
     doubled = [c + c for c in _orbit_cycles(word, category)]
     return {d[k : k + n] for d in doubled for k in range(len(d) // 2)}
 
 
+def _checked(word: str, category: str) -> str:
+    validate_stone_word(word)
+    if category not in CATEGORIES:
+        raise DomainError(f"unknown category {category!r}")
+    return word
+
+
+def orbit(word: str, category: str) -> set[str]:
+    """All stone words in the orbit of word under the category's group."""
+    return _windows(_checked(word, category), category)
+
+
 def canonicalize(word: str, category: str) -> NecklaceClass:
     """Orbit-minimal representative of word in the given category."""
-    cycles = _orbit_cycles(word, category)
+    cycles = _orbit_cycles(_checked(word, category), category)
     return NecklaceClass(category, min(canonical_rotation(c)[: len(word)] for c in cycles))
 
 
@@ -313,52 +326,53 @@ def _stone_products(length: int) -> list[tuple[str, GroupElement]]:
     return out
 
 
-def _histogram(length: int) -> dict[GroupElement, list[str]]:
-    """Stone words of the given length, grouped by monodromy."""
-    out: dict[GroupElement, list[str]] = {}
-    for word, g in _stone_products(length):
-        out.setdefault(g, []).append(word)
-    return out
-
-
 def _pendant_words(n: int, w: int) -> dict[str, GroupElement]:
-    """Stone words of length n carrying a w-pendant, mapped to their monodromy.
+    """Candidate stone words of length n with a w-pendant, mapped to their monodromy.
 
-    Joins the half-word histograms over their distinct elements, so the
-    condition is decided once per distinct product; words are spelled out
-    only where it holds.  For w = 0 the only partner is the inverse.
+    A candidate h + t (|h| = n // 2) has a prenecklace head (every h[i:] >=
+    h[:|h| - i]) and a tail t >= h, found by bisect_left on each tail list,
+    sorted once.  A word least among its rotations is one: it is no greater
+    than its rotations starting inside h, nor than t + h with |t| >= |h|.
+    The halves join over their distinct monodromies, deciding the condition
+    once per distinct product; for w = 0 the only partner is the inverse.
     """
-    halves = {m: _histogram(m) for m in {n // 2, n - n // 2}}
-    left, right = halves[n // 2], halves[n - n // 2]
-    holds: dict[GroupElement, bool] = {}
+    products = {m: _stone_products(m) for m in {n // 2, n - n // 2}}
+    heads: dict[GroupElement, list[str]] = {}
+    for h, g in products[n // 2]:
+        if all(h[i:] >= h[: len(h) - i] for i in range(1, len(h))):
+            heads.setdefault(g, []).append(h)
+    tails: dict[GroupElement, list[str]] = {}
+    for t, g in sorted(products[n - n // 2], key=lambda item: item[0]):
+        tails.setdefault(g, []).append(t)
+    holds = lru_cache(maxsize=None)(_HAS_PENDANT[w])
     found: dict[str, GroupElement] = {}
-    for gl, heads in left.items():
+    for gl, hs in heads.items():
         if w == 0:
-            joins = [(IDENTITY, right.get(gl.inverse(), []))]
+            joins = [(IDENTITY, tails.get(gl.inverse(), []))]
         else:
-            joins = [(gl * gr, tails) for gr, tails in right.items()]
-        for g, tails in joins:
-            if g not in holds:
-                holds[g] = _HAS_PENDANT[w](g)
-            if holds[g]:
-                found.update(dict.fromkeys([h + t for h in heads for t in tails], g))
+            joins = [(gl * gr, ts) for gr, ts in tails.items()]
+        for g, ts in joins:
+            if holds(g):
+                found.update((h + t, g) for h in hs for t in ts[bisect_left(ts, h) :])
     return found
 
 
 def _orbit_minima(words, category: str) -> list[str]:
-    """Orbit-minimal words of a transform-closed word set, in sorted order.
+    """Orbit minima among candidates of a transform-closed word set, sorted.
 
-    In one sorted sweep the first word not yet seen is its orbit's minimum.
-    Every pendant word set is closed under both actions: for w = 2 a shift
-    conjugates the monodromy and the inverse applies the anti-automorphism
-    of tau_1, and both keep a product of two positive twists one.
+    An orbit's minimum is least among its rotations, so it is a candidate,
+    and it comes before its orbit's other candidates: in one sorted sweep
+    the first candidate still pending is a minimum and strikes its orbit.
+    Pendant word sets are transform-closed: for w = 2 a shift conjugates
+    the monodromy and the inverse applies the anti-automorphism of tau_1,
+    and both keep a product of two positive twists one.
     """
-    seen: set[str] = set()
+    pending = set(words)
     reps = []
-    for word in sorted(words):
-        if word not in seen:
+    for word in sorted(pending):
+        if word in pending:
             reps.append(word)
-            seen |= orbit(word, category)
+            pending -= _windows(word, category)
     return reps
 
 

@@ -108,6 +108,22 @@ def test_necklace_enumerate(capsys, tmp_path):
     assert len(lines) == 25
 
 
+@pytest.mark.parametrize("parts", [("missing", "x.tsv"), ()], ids=["no_parent", "directory"])
+def test_unwritable_out_exits_2(capsys, tmp_path, parts):
+    target = str(tmp_path.joinpath(*parts))
+    argv = ["necklace", "enumerate", "--k", "1", "--w", "0", "--out", target]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"parse error: cannot write --out {target}")
+    assert err.count("\n") == 1
+
+
+def test_stats_weight_past_two_exits_3(capsys):
+    code, out, err = run_cli(capsys, "necklace", "stats", "OOO", "--k", "1", "--w", "5")
+    assert (code, out) == (3, "")
+    assert "w must be 0, 1 or 2" in err
+
+
 def test_necklace_stats(capsys):
     code, out, _ = run_cli(capsys, "necklace", "stats", "OOOOOSSSSS")
     payload = json.loads(out)

@@ -105,6 +105,14 @@ def test_stats_examples():
         stats("OOOO", k=1, w=1)  # length 4 != 6*1 - 1
 
 
+def test_stats_refuses_a_weight_past_two():
+    # the weight is checked before the length, whose message would mislead
+    with pytest.raises(DomainError, match="w must be 0, 1 or 2"):
+        stats("OOO", k=1, w=5)
+    with pytest.raises(DomainError, match="w must be 0, 1 or 2"):
+        stats("OOOOOOO", k=1, w=-1)
+
+
 def test_stats_essential_invariance():
     rng = random.Random(3)
     for _ in range(100):
@@ -296,15 +304,69 @@ K2_TWO_PENDANT_TSV = {
 }
 
 
+# sha256 of the --out TSV bytes, as written by the join that spelled out
+# every pendant word before the sweep
+K2_TSV = {
+    (0, "nonoriented"): (8421, "f800f64718c411b5d54b96717294e4d107be90377e44f287aefcc85db3716ca5"),
+    (0, "oriented"): (16646, "016eec780730efdeffd127ed7b4761ee88b584dfd372a2a8b0586f2296171cb8"),
+    (1, "nonoriented"): (15602, "c25c0783aa361c262ed092b11891b22c8513451c64fcde8fed47624fd46501d0"),
+    (1, "oriented"): (31008, "8e71909e4e946f1da7181ac527b0aea46f306bddb390b563f226aa5c38cf8a8c"),
+}
+
+
+def _check_k2_tsv(tmp_path, capsys, w, category, count, digest):
+    out = tmp_path / f"{w}-{category}.tsv"
+    argv = ["necklace", "enumerate", "--k", "2", "--w", str(w), "--category", category]
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    assert json.loads(capsys.readouterr().out)["count"] == count
+    assert out.read_text().count("\n") == count
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, (w, category)
+
+
 def test_enumeration_k2_two_pendants(tmp_path, capsys):
     # no external reference: the per-word engine this one replaced gives
     # the same count and the same representatives
     for category, (count, digest) in K2_TWO_PENDANT_TSV.items():
-        out = tmp_path / f"{category}.tsv"
-        argv = ["necklace", "enumerate", "--k", "2", "--w", "2", "--category", category]
-        assert cli.main(argv + ["--out", str(out)]) == 0
-        assert json.loads(capsys.readouterr().out)["count"] == count
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, category
+        _check_k2_tsv(tmp_path, capsys, 2, category, count, digest)
+
+
+def test_enumeration_k2_outputs_are_pinned(tmp_path, capsys):
+    for (w, category), (count, digest) in K2_TSV.items():
+        _check_k2_tsv(tmp_path, capsys, w, category, count, digest)
+
+
+def _identity_words_by_the_full_half_join(n):
+    """Reference: every stone word of length n with identity monodromy,
+    spelled out from the unpruned join of the two half-word histograms."""
+    halves = {}
+    for stones in itertools.product(STONES, repeat=n // 2):
+        half = "".join(stones)
+        halves.setdefault(monodromy(half), []).append(half)
+    return [
+        head + tail
+        for g, heads in halves.items()
+        for head in heads
+        for tail in halves.get(g.inverse(), [])
+    ]
+
+
+def test_pruned_join_matches_the_full_half_join_at_k2():
+    words = _identity_words_by_the_full_half_join(12)
+    assert len(words) == 199316
+    for category in ("nonoriented", "oriented"):
+        minima = sorted({min(orbit(word, category)) for word in words})
+        result = enumerate_classes(2, 0, category)
+        assert list(result.representatives) == [(word, "empty") for word in minima]
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.text(alphabet=STONES, min_size=4, max_size=12))
+def test_rotation_minimal_words_have_a_prenecklace_head_and_a_tail_no_less(word):
+    # the two premises of the pruned join, on the least rotation of word
+    word = min(word[i:] + word[:i] for i in range(len(word)))
+    head, tail = word[: len(word) // 2], word[len(word) // 2 :]
+    assert all(head[i:] >= head[: len(head) - i] for i in range(1, len(head)))
+    assert tail >= head
 
 
 def _shifted_pair(word, fact):
