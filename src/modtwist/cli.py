@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from typing import Optional
 
 from . import mcurve as mc
@@ -79,9 +80,7 @@ def _cmd_factorize(args) -> dict:
     g = parse_element(args.element)
     # first, so a modulus past the budget is refused before any other work
     quotient_tests = [
-        {"modulus": n, "solvable": report.solvable, "solution_count": report.solution_count}
-        for n in range(2, args.max_modulus + 1)
-        for report in [finite_quotient_test(g, n)]
+        asdict(finite_quotient_test(g, n)) for n in range(2, args.max_modulus + 1)
     ] if args.check_obstructions else None
     strong, weak = count_classes(g)
     reps = []
@@ -95,18 +94,12 @@ def _cmd_factorize(args) -> dict:
                 "label": label.describe(),
             }
         )
-    reality = factorization_reality(g)
     payload = {
         "exists": exists_2factorization(g),
         "strong_count": strong,
         "weak_count": weak,
         "representatives": reps,
-        "reality": {
-            "applicable": reality.applicable,
-            "reason": reality.reason,
-            "classes": list(reality.classes),
-            "real_structure_count": reality.real_structure_count,
-        },
+        "reality": asdict(factorization_reality(g)),
         "trace_test": trace_test(g),
     }
     if args.check_obstructions:
@@ -124,18 +117,9 @@ def _budget() -> int:
 
 def _cmd_necklace(args) -> dict:
     if args.necklace_command == "stats":
-        st = nk.stats(args.word, k=args.k, w=args.w)
-        return {
-            "circles": st.circles,
-            "squares": st.squares,
-            "right_arrows": st.right_arrows,
-            "left_arrows": st.left_arrows,
-            "betti": st.betti,
-            "euler": st.euler,
-            "essential": st.essential,
-            "maximal": st.maximal,
-            "essential_obstruction": st.essential_obstruction,
-        }
+        payload = asdict(nk.stats(args.word, k=args.k, w=args.w))
+        del payload["k"], payload["w"]
+        return payload
     result = nk.enumerate_classes(
         args.k,
         args.w,
@@ -161,10 +145,9 @@ def _cmd_mcurve(args) -> dict:
         "canonical_class": mc.canonical_class(word, directed=args.directed),
         "directed": args.directed,
         "monodromy_class": None,
-        "flat_diagram": None,
+        "flat_diagram": mc.flat_diagram(word).representative,
         "classes_sharing_real_part": None,
     }
-    payload["flat_diagram"] = mc.flat_diagram(word).representative
     if w == 2:
         payload["monodromy_class"] = mc.monodromy_class(word).describe()
         payload["classes_sharing_real_part"] = mc.classes_sharing_real_part(word)

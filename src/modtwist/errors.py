@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["ParseError", "DomainError", "BudgetError", "VerificationError"]
+
 
 class ParseError(ValueError):
     """Malformed word, matrix, or stone-word input."""

@@ -32,13 +32,7 @@ from functools import cached_property, lru_cache
 from math import gcd
 from typing import Iterator, Optional
 
-from .diagrams import (
-    CyclicDiagram,
-    ParaSymmetry,
-    _axis_reading,
-    para_symmetries,
-    reflection_symmetries,
-)
+from .diagrams import CyclicDiagram, _axis_reading, para_symmetries, reflection_symmetries
 from .errors import DomainError, VerificationError
 from .obstructions import trace_test
 from .psl2 import (
@@ -122,9 +116,11 @@ def _move(u: TwistVector, v: TwistVector, direction: int) -> tuple[TwistVector, 
 
 
 def hurwitz_move(f: Factorization, i: int, direction: int = 1) -> Factorization:
-    """Hurwitz move at 1-based position i (direction -1 is the inverse move)."""
+    """Hurwitz move at 1-based position i; direction is 1, or -1 for the inverse move."""
     if not 1 <= i < len(f):
         raise DomainError(f"move index {i} out of range for length {len(f)}")
+    if direction not in (1, -1):
+        raise DomainError(f"move direction must be 1 or -1, not {direction}")
     u, v = _move(f.vectors[i - 1], f.vectors[i], direction)
     return Factorization(f.factors[: i - 1] + (dehn_twist(u), dehn_twist(v)) + f.factors[i + 1 :])
 
@@ -159,61 +155,45 @@ def _verify(fact: Factorization, g: GroupElement) -> Factorization:
 class Analysis:
     """Everything the 2-factorization queries of one element read.
 
-    family names the label kind of the element's strong classes: "full_group"
-    (conjugate to X), "equal_twists" (conjugate to R^2), "axis" (negative
-    parabolic or hyperbolic, one class per para-symmetry of the cyclic
-    diagram) or None (never 2-factorizable).  The class, the diagram and
-    its para-symmetries are computed at once; the canonical pairs and the
-    reflection axes on first use, and are then kept on the record.
+    labels names the element's strong classes, one label each: full_group
+    (conjugate to X), equal_twists (conjugate to R^2), one axis label per
+    para-symmetry of the cyclic diagram (negative parabolic or hyperbolic),
+    or none (never 2-factorizable).  The class, the diagram and the labels
+    are computed at once; the canonical pairs and the reflection axes on
+    first use, and are then kept on the record.
     """
 
     element: GroupElement
     cls: ConjugacyClass
-    family: Optional[str]
     diagram: Optional[CyclicDiagram]
-    symmetries: tuple[ParaSymmetry, ...]
-
-    @property
-    def strong_count(self) -> int:
-        if self.family == "axis":
-            return len(self.symmetries)
-        return 1 if self.family else 0
+    labels: tuple[StrongClassLabel, ...]
 
     @property
     def weak_count(self) -> int:
         # the two classes of the L^4 class are conjugate by a root of it
-        if self.cls.kind == "parabolic" and self.strong_count == 2:
+        if self.cls.kind == "parabolic" and len(self.labels) == 2:
             return 1
-        return self.strong_count
+        return len(self.labels)
 
     @cached_property
     def canonical(self) -> tuple[tuple[Factorization, StrongClassLabel], ...]:
         """One verified (representative, label) per strong class."""
-        g = self.element
-        if self.family == "axis":
-            return tuple(self._axis_factorizations())
-        if self.family is None:
-            return ()
-        h, _ = conjugator_to_rep(g)
-        fact = pair(R, L.inverse() if self.family == "full_group" else R).conjugated_by(h)
-        return ((_verify(fact, g), StrongClassLabel(self.family)),)
+        return tuple((_verify(self._pair(label), self.element), label) for label in self.labels)
 
-    def _axis_factorizations(self):
-        g = self.element
-        h, canon = cutting_conjugator(g)
-        for sym in self.symmetries:
-            anchor = min(sym.anchor_starts)
-            rotated = self.diagram.rotated(anchor)
-            a_word = _axis_reading(self.diagram, anchor)
-            first = X * L.inverse() * X.inverse()
-            wing = Y * evaluate(a_word) * X
-            second = wing * L.inverse() * wing.inverse()
-            if first * second != evaluate(rotated):
-                raise VerificationError(f"the pair read at axis {sym.axis} does not give {rotated}")
-            # g = (prefix^-1 h)^-1 * evaluate(rotated) * (prefix^-1 h)
-            conj = evaluate(canon[:anchor]).inverse() * h
-            fact = pair(first, second).conjugated_by(conj)
-            yield _verify(fact, g), StrongClassLabel("axis", axis=sym.axis, anchor=anchor)
+    def _pair(self, label: StrongClassLabel) -> Factorization:
+        """The pair of the labelled class, conjugated to multiply to the element."""
+        if label.kind != "axis":
+            h, _ = conjugator_to_rep(self.element)
+            return pair(R, L.inverse() if label.kind == "full_group" else R).conjugated_by(h)
+        rotated = self.diagram.rotated(label.anchor)
+        first = X * L.inverse() * X.inverse()
+        wing = Y * evaluate(_axis_reading(self.diagram, label.anchor)) * X
+        second = wing * L.inverse() * wing.inverse()
+        if first * second != evaluate(rotated):
+            raise VerificationError(f"the pair read at axis {label.axis} does not give {rotated}")
+        # g = (prefix^-1 h)^-1 * evaluate(rotated) * (prefix^-1 h)
+        h, canon = cutting_conjugator(self.element)
+        return pair(first, second).conjugated_by(evaluate(canon[: label.anchor]).inverse() * h)
 
     def locate(self, fact: Factorization) -> int:
         """Index of the one canonical strong class that holds the pair fact."""
@@ -241,25 +221,26 @@ class Analysis:
 def analyze(g: GroupElement) -> Analysis:
     """The shared, memoized 2-factorization analysis of g."""
     cls = classify(g)
-    if cls.kind == "elliptic_order3_pos":
-        family = "full_group"
-    elif cls.kind == "parabolic" and cls.index == 2:
-        family = "equal_twists"
-    elif cls.kind == "hyperbolic" or cls.kind == "parabolic" and cls.index < 0:
-        family = "axis"
-    else:
-        family = None
     word = cls.diagram_word
     diagram = CyclicDiagram(word) if word else None
-    symmetries = para_symmetries(diagram) if family == "axis" else ()
-    return Analysis(g, cls, family, diagram, symmetries)
+    if cls.kind == "elliptic_order3_pos":
+        labels = (StrongClassLabel("full_group"),)
+    elif cls.kind == "parabolic" and cls.index == 2:
+        labels = (StrongClassLabel("equal_twists"),)
+    elif cls.kind == "hyperbolic" or cls.kind == "parabolic" and cls.index < 0:
+        labels = tuple(
+            StrongClassLabel("axis", s.axis, min(s.anchor_starts)) for s in para_symmetries(diagram)
+        )
+    else:
+        labels = ()
+    return Analysis(g, cls, diagram, labels)
 
 
 def exists_2factorization(g: GroupElement) -> bool:
     """True iff g is a product of two positive Dehn twists."""
     # a twist pair has SL trace 2 - w^2, so failing the trace test is an exact
     # no, and 9 in 10 k = 2, w = 2 half-word products then fill no memo entry
-    return trace_test(g) and analyze(g).strong_count > 0
+    return trace_test(g) and bool(analyze(g).labels)
 
 
 def canonical_2factorizations(g: GroupElement) -> list[Factorization]:
@@ -275,7 +256,7 @@ def strong_class_labels(g: GroupElement) -> list[StrongClassLabel]:
 def count_classes(g: GroupElement) -> tuple[int, int]:
     """(strong, weak) counts of equivalence classes of 2-factorizations."""
     analysis = analyze(g)
-    return analysis.strong_count, analysis.weak_count
+    return len(analysis.labels), analysis.weak_count
 
 
 def _walk(f: Factorization, targets: list[Factorization]) -> list[int]:
@@ -352,9 +333,10 @@ class FactorizationRealityReport:
 def factorization_reality(g: GroupElement) -> FactorizationRealityReport:
     """Which strong classes of 2-factorizations of g are real."""
     analysis = analyze(g)
-    if not analysis.strong_count:
+    labels = analysis.labels
+    if not labels:
         return FactorizationRealityReport(False, reason="no 2-factorization exists")
-    if analysis.family != "axis":
+    if labels[0].kind != "axis":
         return FactorizationRealityReport(True, classes=("real",), real_structure_count=2)
     reflections = len(analysis.reflections)
     if analysis.cls.kind == "parabolic":
@@ -367,8 +349,8 @@ def factorization_reality(g: GroupElement) -> FactorizationRealityReport:
         return FactorizationRealityReport(
             False, reason="element is not real", real_structure_count=0
         )
-    if len(analysis.symmetries) == 1:
-        a_word = _axis_reading(analysis.diagram, min(analysis.symmetries[0].anchor_starts))
+    if len(labels) == 1:
+        a_word = _axis_reading(analysis.diagram, labels[0].anchor)
         if a_word != a_word[::-1]:
             raise VerificationError(f"real one-axis element {g} has a non-palindromic wing")
         return FactorizationRealityReport(

@@ -56,6 +56,7 @@ __all__ = [
     "TAU1",
     "TAU2",
     "evaluate",
+    "parse_element",
     "parse_matrix",
     "normal_form",
     "classify",

@@ -131,6 +131,15 @@ def test_necklace_stats(capsys):
     assert payload["essential"] == 2
 
 
+def test_necklace_stats_golden(capsys):
+    code, out, _ = run_cli(capsys, "necklace", "stats", "OOOOOSSSSS", "--k", "2", "--w", "2")
+    assert code == 0
+    assert out == (
+        '{"betti":24,"circles":5,"essential":2,"essential_obstruction":true,"euler":0,'
+        '"left_arrows":0,"maximal":true,"right_arrows":0,"squares":5}\n'
+    )
+
+
 def test_necklace_budget(capsys, monkeypatch):
     monkeypatch.setenv("MODTWIST_BUDGET", "100")
     code, _, err = run_cli(capsys, "necklace", "enumerate", "--k", "1", "--w", "0")
@@ -188,6 +197,20 @@ def test_mcurve(capsys):
     assert payload["w"] == 2
 
 
+@pytest.mark.parametrize(
+    "word, flat, monodromy_class, sharing",
+    [("u*", "<SSSS", None, None), ("*ud*", "OOOOOSSSSS", "hyperbolic(LLLLRRLLLLRR)", 2)],
+)
+def test_mcurve_nulls_only_the_monodromy_fields(capsys, word, flat, monodromy_class, sharing):
+    # flat_diagram is always a string; the monodromy fields need w = 2
+    code, out, _ = run_cli(capsys, "mcurve", word)
+    payload = json.loads(out)
+    assert code == 0
+    assert payload["flat_diagram"] == flat
+    assert payload["monodromy_class"] == monodromy_class
+    assert payload["classes_sharing_real_part"] == sharing
+
+
 def test_mcurve_directed_distinct(capsys):
     _, out_uu, _ = run_cli(capsys, "mcurve", ".uu.", "--directed")
     _, out_ud, _ = run_cli(capsys, "mcurve", ".ud.", "--directed")
@@ -203,6 +226,21 @@ def test_output_is_byte_stable(capsys):
     _, first, _ = run_cli(capsys, "factorize", "L^4")
     _, second, _ = run_cli(capsys, "factorize", "L^4")
     assert first == second
+
+
+def test_factorize_with_obstructions_golden(capsys):
+    code, out, _ = run_cli(capsys, "factorize", "L^4", "--check-obstructions", "--max-modulus", "4")
+    assert code == 0
+    assert out == (
+        '{"exists":true,"quotient_tests":[{"modulus":2,"solution_count":3,"solvable":true},'
+        '{"modulus":3,"solution_count":4,"solvable":true},'
+        '{"modulus":4,"solution_count":6,"solvable":true}],'
+        '"reality":{"applicable":true,"classes":["real","real"],"real_structure_count":4,'
+        '"reason":null},"representatives":[{"factors":[[[2,-1],[1,0]],[[0,1],[-1,-2]]],'
+        '"label":"axis(c=1, anchor=0)","twist_vectors":[[1,-1],[1,1]]},'
+        '{"factors":[[[3,-4],[1,-1]],[[1,0],[1,1]]],"label":"axis(c=3, anchor=1)",'
+        '"twist_vectors":[[1,-2],[1,0]]}],"strong_count":2,"trace_test":true,"weak_count":1}\n'
+    )
 
 
 def test_oversize_integer_literals_exit_2(capsys):

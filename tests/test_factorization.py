@@ -101,6 +101,12 @@ def test_hurwitz_move_examples():
         hurwitz_move(f, 2)
 
 
+@pytest.mark.parametrize("direction", [0, 2, 5, -2, -7])
+def test_hurwitz_move_refuses_a_direction_other_than_one_or_minus_one(direction):
+    with pytest.raises(DomainError, match="direction"):
+        hurwitz_move(pair(R, L.inverse()), 1, direction)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3))
 def test_hurwitz_move_inverse(p1, q1, p2, q2):
@@ -232,7 +238,7 @@ def test_locate_agrees_with_the_streak_walk():
         shift = (i % 10 + 1) * (1 if i % 20 < 10 else -1)
         moved = fact
         for _ in range(abs(shift)):
-            moved = hurwitz_move(moved, 1, shift)
+            moved = hurwitz_move(moved, 1, 1 if shift > 0 else -1)
         for f in (fact, moved):
             reference = [
                 j for j, (canonical, _) in enumerate(analysis.canonical)
@@ -298,6 +304,16 @@ def test_labels():
     labels = strong_class_labels(evaluate("L^4"))
     assert [lab.kind for lab in labels] == ["axis", "axis"]
     assert labels[0].axis != labels[1].axis
+
+
+def test_the_analysis_labels_are_the_canonical_labels():
+    # the one list of strong classes: canonical pairs and counts read it
+    products = {g for _, _, g in oracle_products(6)}
+    products |= {X, evaluate("R^2"), evaluate("L^4"), evaluate("LLLLRRLLLLRR")}
+    for g in products:
+        analysis = analyze(g)
+        assert analysis.labels == tuple(label for _, label in analysis.canonical)
+        assert len(analysis.labels) == count_classes(g)[0]
 
 
 def test_reality_reports():
@@ -400,7 +416,7 @@ _AXIS_TWISTS = ((1, 0), (1, 3))
 
 def test_wrong_wing_raises(monkeypatch):
     g = dehn_twist(_AXIS_TWISTS[0]) * dehn_twist(_AXIS_TWISTS[1])
-    assert analyze(g).family == "axis"
+    assert analyze(g).labels[0].kind == "axis"
     # Y enters the factorization layer only through the wing Y A X
     monkeypatch.setattr(factorization, "Y", L)
     with pytest.raises(VerificationError):

@@ -2,6 +2,8 @@ import ast
 import os
 import subprocess
 import sys
+import types
+from importlib import import_module
 from pathlib import Path
 
 import pytest
@@ -49,3 +51,25 @@ def test_no_unused_imports_in_the_package():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         for name, lineno in imported.items():
             assert name in used, f"{path.name}:{lineno} imports {name} unused"
+
+
+def _modules():
+    names = sorted(p.stem for p in Path(modtwist.__file__).parent.glob("*.py"))
+    return [import_module(f"modtwist.{name}") for name in names if name != "__init__"]
+
+
+def test_every_module_declares_its_public_names():
+    for module in _modules():
+        assert isinstance(getattr(module, "__all__", None), list), module.__name__
+        assert all(hasattr(module, name) for name in module.__all__), module.__name__
+
+
+def test_the_package_exports_exactly_what_its_modules_declare():
+    # the command line's main is reached as modtwist.cli.main, not re-exported
+    declared = {name for m in _modules() if m.__name__ != "modtwist.cli" for name in m.__all__}
+    public = {
+        name
+        for name, value in vars(modtwist).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public == declared
