@@ -40,6 +40,7 @@ __all__ = [
     "build_shared_axis_diagram",
     "build_disjoint_axis_diagram",
     "recognize",
+    "cutting_period_cycle",
     "is_even_word",
 ]
 
@@ -76,13 +77,6 @@ def canonical_rotation(word: str) -> str:
     return s[i : i + m]
 
 
-def _validate_letters(word: str) -> None:
-    if not word:
-        raise DomainError("empty cyclic word")
-    if set(word) - {"L", "R"}:
-        raise DomainError(f"cyclic words use letters L/R only: {word!r}")
-
-
 @dataclass(frozen=True)
 class CyclicDiagram:
     """A nonempty cyclic word over {L, R}, stored as its least rotation."""
@@ -90,7 +84,10 @@ class CyclicDiagram:
     letters: str
 
     def __post_init__(self):
-        _validate_letters(self.letters)
+        if not self.letters:
+            raise DomainError("empty cyclic word")
+        if set(self.letters) - {"L", "R"}:
+            raise DomainError(f"cyclic words use letters L/R only: {self.letters!r}")
         object.__setattr__(self, "letters", canonical_rotation(self.letters))
 
     def __len__(self):
@@ -157,14 +154,10 @@ def axis_word(diagram: CyclicDiagram, axis: Union[ParaSymmetry, int]) -> str:
     Both anchor pairs of the axis give a valid reading (A and At); the
     lexicographically smaller one is returned.
     """
-    if isinstance(axis, int):
-        matches = [s for s in para_symmetries(diagram) if s.axis == axis]
-        if not matches:
-            raise DomainError(f"axis {axis} is not a para-symmetry of {diagram.letters}")
-        axis = matches[0]
-    elif axis not in para_symmetries(diagram):
-        raise DomainError(f"{axis} is not a para-symmetry of {diagram.letters}")
-    return min(_axis_reading(diagram, j) for j in axis.anchor_starts)
+    match = next((s for s in para_symmetries(diagram) if axis in (s, s.axis)), None)
+    if match is None:
+        raise DomainError(f"axis {axis} is not a para-symmetry of {diagram.letters}")
+    return min(_axis_reading(diagram, j) for j in match.anchor_starts)
 
 
 def _axis_reading(diagram: CyclicDiagram, anchor_start: int) -> str:
@@ -307,22 +300,16 @@ def _recognize_disjoint(
     return DiagramForm("disjoint_axes", q=q, insert=insert)
 
 
-def _cyclic_runs(word: str) -> list[int]:
-    """Run lengths of the cyclic word, read off its least rotation: with both
-    letters that starts an L-run after a final R, so the wrap-around run is
-    read whole."""
-    return [len(list(run)) for _, run in groupby(canonical_rotation(word))]
-
-
 def cutting_period_cycle(diagram: CyclicDiagram) -> tuple[int, ...]:
-    """The run-length cycle [a1, ..., a2n] of the diagram."""
-    return tuple(_cyclic_runs(diagram.letters))
+    """The run-length cycle [a1, ..., a2n] of the diagram, read off its least
+    rotation: with both letters that starts an L-run after a final R, so the
+    wrap-around run is read whole."""
+    return tuple(len(list(run)) for _, run in groupby(diagram.letters))
 
 
 def is_even_word(word: Union[str, CyclicDiagram]) -> bool:
     """True iff every run of the cyclic word has even length."""
-    letters = word.letters if isinstance(word, CyclicDiagram) else word
-    if not letters:
+    if not word:
         return True
-    _validate_letters(letters)
-    return all(length % 2 == 0 for length in _cyclic_runs(letters))
+    diagram = word if isinstance(word, CyclicDiagram) else CyclicDiagram(word)
+    return all(length % 2 == 0 for length in cutting_period_cycle(diagram))

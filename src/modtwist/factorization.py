@@ -159,8 +159,8 @@ class Analysis:
     (conjugate to X), equal_twists (conjugate to R^2), one axis label per
     para-symmetry of the cyclic diagram (negative parabolic or hyperbolic),
     or none (never 2-factorizable).  The class, the diagram and the labels
-    are computed at once; the canonical pairs and the reflection axes on
-    first use, and are then kept on the record.
+    are computed at once; the canonical pairs on first use, and are then
+    kept on the record.
     """
 
     element: GroupElement
@@ -204,11 +204,6 @@ class Analysis:
         if len(matches) != 1:
             raise VerificationError(f"{fact} lies in {len(matches)} strong classes of {g}")
         return matches[0]
-
-    @cached_property
-    def reflections(self) -> tuple[int, ...]:
-        """Reflection axes of the cyclic diagram (none without a diagram)."""
-        return reflection_symmetries(self.diagram) if self.diagram else ()
 
 
 # The size covers the 1,600 distinct monodromies of a pass of the benchmark's
@@ -301,15 +296,19 @@ def decide_strong_equivalence(f1: Factorization, f2: Factorization) -> bool:
 
 
 def decide_weak_equivalence(f1: Factorization, f2: Factorization) -> bool:
-    """True iff f1 and f2 are related by Hurwitz moves plus a conjugation."""
+    """True iff f1 and f2 are related by Hurwitz moves plus a conjugation.
+
+    The conjugation centralizes the common product g, so it is a power of
+    the primitive root of g, whose n-th power g is two Hurwitz moves.  The
+    only elliptic product of two positive twists is the class of X, which
+    has one strong class, so the strong test has answered every elliptic
+    pair before the primitive root, which an elliptic g lacks, is taken.
+    """
     g = f1.product
     if g != f2.product:
         raise DomainError("weak equivalence is decided for equal products")
     if decide_strong_equivalence(f1, f2):
         return True
-    if analyze(g).cls.kind.startswith("elliptic"):
-        # the centralizer is <g>, and conjugation by g is two Hurwitz moves
-        return False
     root, n = primitive_root(g)
     return bool(_walk(f2, [f1.conjugated_by(root**k) for k in range(1, n)]))
 
@@ -338,7 +337,7 @@ def factorization_reality(g: GroupElement) -> FactorizationRealityReport:
         return FactorizationRealityReport(False, reason="no 2-factorization exists")
     if labels[0].kind != "axis":
         return FactorizationRealityReport(True, classes=("real",), real_structure_count=2)
-    reflections = len(analysis.reflections)
+    reflections = len(reflection_symmetries(analysis.diagram))
     if analysis.cls.kind == "parabolic":
         # the L^4 class: both classes real, two of the four reflections
         # preserve each of them and the two others swap them

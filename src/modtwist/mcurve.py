@@ -22,9 +22,7 @@ alternating per run.
 
 from __future__ import annotations
 
-from itertools import groupby
-
-from .diagrams import CyclicDiagram, is_even_word, recognize, word_transpose
+from .diagrams import CyclicDiagram, cutting_period_cycle, is_even_word, recognize, word_transpose
 from .errors import BudgetError, DomainError, ParseError, VerificationError
 from .necklace import NecklaceClass, canonicalize
 from .psl2 import QUOTIENT_SUM_CAP, ConjugacyClass, _cutting_word_class
@@ -138,25 +136,23 @@ def monodromy_class(word: str) -> ConjugacyClass:
     return _cutting_word_class(_cutting_diagram(_require_zigzag_free(word)).letters)
 
 
-def _stones_from_even_cutting(letters: str) -> str:
-    """Stone word over O/S with the given even cutting word as monodromy.
+def _stones_from_even_cutting(diagram: CyclicDiagram) -> str:
+    """Stone word over O/S with the diagram's even cutting word as monodromy.
 
     Inverts the product formula for runs of squares and circles: an
     alternating necklace run sequence (r_1, r_2, ...) multiplies out to
     the cyclic word  prod_t L^(r_t - 1) R^2.  A least rotation with both
     letters starts with L and ends with R, so its runs pair up in order.
     """
-    if "R" not in letters:
-        return "O" * len(letters)
-    runs = [(ch, len(list(run))) for ch, run in groupby(letters)]
-    if len(runs) % 2:
-        raise VerificationError(f"cutting word {letters} is not a least rotation")
+    if "R" not in diagram.letters:
+        return "O" * len(diagram)
+    runs = cutting_period_cycle(diagram)
     stones = []
     kind = "S"
     other = {"S": "O", "O": "S"}
-    for (letter_l, a), (letter_r, b) in zip(runs[0::2], runs[1::2]):
-        if letter_l != "L" or letter_r != "R" or a % 2 or b % 2:
-            raise VerificationError(f"cutting word {letters} is not even")
+    for a, b in zip(runs[0::2], runs[1::2]):
+        if a % 2 or b % 2:
+            raise VerificationError(f"cutting word {diagram.letters} is not even")
         stones.append(kind * (a + 1))
         kind = other[kind]
         for _ in range(b // 2 - 1):
@@ -176,13 +172,7 @@ def flat_diagram(word: str) -> NecklaceClass:
     word = parse_junction_word(word)
     d = len(word)
     category = "flat_oriented" if d % 2 == 0 else "twisted_oriented"
-    if d == 1:
-        ovals = "O"
-    else:
-        ovals = _stones_from_even_cutting(_cutting_diagram(word).letters)
-    if word[0] == "*" and word[-1] == "*":
-        return canonicalize(ovals, category)
-    stones = ovals
+    stones = "O" if d == 1 else _stones_from_even_cutting(_cutting_diagram(word))
     if word[-1] != "*":
         stones = stones + ("<" if word[-1] == "u" else ">")
     if word[0] != "*":

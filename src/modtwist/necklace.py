@@ -284,9 +284,7 @@ def pendants(word: str, w: int) -> list[StrongClassLabel]:
     m = monodromy(word)
     if w not in _HAS_PENDANT:
         raise DomainError("pendant weight must be 0, 1 or 2")
-    if not _HAS_PENDANT[w](m):
-        return []
-    return strong_class_labels(m) if w == 2 else [_ONE_PENDANT[w]]
+    return _labels(m, w) if _HAS_PENDANT[w](m) else []
 
 
 @dataclass(frozen=True)
@@ -317,6 +315,11 @@ _HAS_PENDANT = {
     2: exists_2factorization,
 }
 _ONE_PENDANT = {0: StrongClassLabel("empty"), 1: StrongClassLabel("single_twist")}
+
+
+def _labels(g: GroupElement, w: int) -> list[StrongClassLabel]:
+    """The w-pendant labels of a monodromy g that has a w-pendant."""
+    return strong_class_labels(g) if w == 2 else [_ONE_PENDANT[w]]
 
 
 def _stone_products(length: int) -> list[tuple[str, GroupElement]]:
@@ -438,16 +441,13 @@ def enumerate_classes(
         raise BudgetError(f"4^{n} stone words exceed the budget of {budget}")
     start = time.perf_counter()
     found = _pendant_words(n, w)
-    if w == 2:
-        reps = [
-            (word, label.describe())
-            for word in _orbit_minima(found, category)
-            for idx, (_, label) in enumerate(analyze(found[word]).canonical)
-            if idx == 0 or not _stabilizer_swaps(word, found[word], category)
-        ]
-    else:
-        label = _ONE_PENDANT[w].describe()
-        reps = [(word, label) for word in _orbit_minima(found, category)]
+    # only a w = 2 monodromy has a second class
+    reps = [
+        (word, label.describe())
+        for word in _orbit_minima(found, category)
+        for idx, label in enumerate(_labels(found[word], w))
+        if idx == 0 or not _stabilizer_swaps(word, found[word], category)
+    ]
     return EnumerationResult(
         k=k,
         w=w,

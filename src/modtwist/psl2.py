@@ -271,24 +271,15 @@ class RealStructure:
     d: int
 
     def __post_init__(self):
-        if self.a * self.d - self.b * self.c != -1:
+        a, b, c, d = self.a, self.b, self.c, self.d
+        if a * d - b * c != -1:
             raise DomainError("real structure lift must have determinant -1")
-        for entry in (self.a, self.b, self.c, self.d):
-            if entry > 0:
-                break
-            if entry < 0:
-                object.__setattr__(self, "a", -self.a)
-                object.__setattr__(self, "b", -self.b)
-                object.__setattr__(self, "c", -self.c)
-                object.__setattr__(self, "d", -self.d)
-                break
-        sq = (
-            self.a * self.a + self.b * self.c,
-            self.b * (self.a + self.d),
-            self.c * (self.a + self.d),
-            self.d * self.d + self.b * self.c,
-        )
-        if sq not in ((1, 0, 0, 1), (-1, 0, 0, -1)):
+        # det -1 rules out a == b == 0, so a or b is the first nonzero entry
+        if a < 0 or (a == 0 and b < 0):
+            for name, entry in zip("abcd", (a, b, c, d)):
+                object.__setattr__(self, name, -entry)
+        # at det -1, M^2 = (a + d) M + I, which is +-I (M is not scalar) iff a + d = 0
+        if a + d:
             raise DomainError("real structure must square to the identity in PGL")
 
 
@@ -525,9 +516,7 @@ def conjugator_to_rep(g: GroupElement) -> tuple[GroupElement, GroupElement]:
 
 def dehn_twist(v: TwistVector | tuple[int, int]) -> GroupElement:
     """The positive Dehn twist along the primitive vector v."""
-    if not isinstance(v, TwistVector):
-        v = TwistVector(*v)
-    p, q = v
+    p, q = TwistVector(*v)
     return GroupElement(1 - p * q, -q * q, p * p, 1 + p * q)
 
 

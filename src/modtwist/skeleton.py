@@ -84,10 +84,7 @@ def from_twists(
     subgroup is free on the twists and the marked pseudo-tree is recovered
     from the strong class of the pair (t_u, t_v).
     """
-    if not isinstance(u, TwistVector):
-        u = TwistVector(*u)
-    if not isinstance(v, TwistVector):
-        v = TwistVector(*v)
+    u, v = TwistVector(*u), TwistVector(*v)
     wedge = u.p * v.q - u.q * v.p
     if abs(wedge) == 1:
         return FULL_GROUP

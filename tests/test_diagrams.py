@@ -11,7 +11,6 @@ from modtwist.diagrams import (
     ParaSymmetry,
     _axis_reading,
     _block_pattern,
-    _cyclic_runs,
     _recognize_disjoint,
     axis_word,
     build_disjoint_axis_diagram,
@@ -323,6 +322,19 @@ def test_recognize():
 
 
 @pytest.mark.parametrize(
+    "diagram, text",
+    [
+        (CyclicDiagram("LLLLRRLLLLRR"), "disjoint_axes(q=1/3, insert='')"),
+        (build_shared_axis_diagram(0), "shared_axes(m=0)"),
+        (CyclicDiagram("LLLLLLRR"), "one_axis"),
+        (CyclicDiagram("RRRLRR"), "no_axis"),
+    ],
+)
+def test_recognized_form_describes_itself(diagram, text):
+    assert recognize(diagram).describe() == text
+
+
+@pytest.mark.parametrize(
     "word", ["LLLLLRRRLLLLLRRR", "LLLRLLLRRRLLLRLLLRRR", "LLLLLLLRRRRRLLLLLLLRRRRR"]
 )
 def test_disjoint_axes_of_even_rotation_order_are_refused(word):
@@ -371,12 +383,11 @@ def _cyclic_runs_from_a_boundary(word):
 @settings(max_examples=500, deadline=None, derandomize=True)
 @given(st.text(alphabet="LR", min_size=1, max_size=40))
 def test_cyclic_runs_match_the_boundary_search(word):
-    runs = _cyclic_runs(word)
+    runs = list(cutting_period_cycle(CyclicDiagram(word)))
     reference = _cyclic_runs_from_a_boundary(word)
     # the same cycle of runs, now starting at the L-run of the least rotation
     assert sorted(runs) == sorted(reference)
     assert any(runs == reference[k:] + reference[:k] for k in range(len(reference)))
-    assert tuple(runs) == cutting_period_cycle(CyclicDiagram(word))
 
 
 def test_is_even_word():

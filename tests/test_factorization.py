@@ -195,6 +195,28 @@ def test_chain_classes_not_weakly_equivalent():
     assert not decide_weak_equivalence(c1, c2)
 
 
+@pytest.mark.parametrize("word", ["X", "R^2", "L^4", "LLLLRRLLLLRR"])
+@pytest.mark.parametrize("direction", [1, -1])
+def test_a_hurwitz_move_keeps_the_weak_class(word, direction):
+    for f in canonical_2factorizations(evaluate(word)):
+        assert decide_weak_equivalence(f, hurwitz_move(f, 1, direction))
+
+
+def test_every_elliptic_oracle_product_is_the_one_class_of_x():
+    # the class of X is the only elliptic product of two positive twists and
+    # holds one strong class, so weak equivalence there is strong equivalence
+    elliptic = 0
+    for u, v, g in oracle_products(7):
+        if classify(g).kind.startswith("elliptic"):
+            elliptic += 1
+            assert classify(g).kind == "elliptic_order3_pos"
+            f = pair(dehn_twist(u), dehn_twist(v))
+            (canonical,) = canonical_2factorizations(g)
+            assert decide_strong_equivalence(f, canonical)
+            assert decide_weak_equivalence(f, canonical)
+    assert elliptic == 282
+
+
 def test_decide_rejects_distinct_products():
     with pytest.raises(DomainError):
         decide_strong_equivalence(pair(R, R), pair(R, L.inverse()))

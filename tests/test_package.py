@@ -1,4 +1,5 @@
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -22,6 +23,16 @@ def test_no_runtime_dependencies():
     pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
     project = tomllib.loads(pyproject.read_text())["project"]
     assert project.get("dependencies", []) == []
+
+
+def test_the_console_script_answers(capsys):
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["modtwist"]
+    module, _, name = target.partition(":")
+    main = getattr(import_module(module), name)
+    assert main(["classify", "R^3 L R^2"]) == 0
+    assert json.loads(capsys.readouterr().out)["class"] == "hyperbolic"
 
 
 def test_no_asserts_in_the_package():

@@ -19,6 +19,7 @@ from modtwist.psl2 import (
     Y,
     ConjugacyClass,
     GroupElement,
+    RealStructure,
     TwistVector,
     abelian_degree,
     classify,
@@ -375,6 +376,12 @@ def test_twist_class_membership():
     # twists are exactly the conjugates of R
     for g in _random_elements(60, seed=17, length=5):
         assert twist_vector(R.conjugated_by(g)) is not None
+
+
+def test_real_structure_lift_is_sign_normalised():
+    # the first nonzero entry of (a, b) is made positive, as for GroupElement
+    assert RealStructure(0, -1, -1, 0) == TAU1
+    assert RealStructure(-1, 0, 0, 1) == TAU2
 
 
 def test_real_involution_action_table():
