@@ -23,13 +23,7 @@ from typing import Optional
 from . import mcurve as mc
 from . import necklace as nk
 from .errors import BudgetError, DomainError, ParseError, VerificationError
-from .factorization import (
-    canonical_2factorizations,
-    count_classes,
-    exists_2factorization,
-    factorization_reality,
-    strong_class_labels,
-)
+from .factorization import analyze, count_classes, exists_2factorization, factorization_reality
 from .obstructions import finite_quotient_test, trace_test
 from .psl2 import (
     GroupElement,
@@ -63,7 +57,7 @@ def _classify_payload(g: GroupElement) -> dict:
         "real": is_real_element(g),
         "degree_mod6": abelian_degree(g),
         "trace": g.trace,
-        "cutting_word": cls.diagram_word,
+        "cutting_word": cls.diagram.letters if cls.diagram else None,
         "parabolic_index": cls.index,
         "root_power": None,
     }
@@ -84,7 +78,7 @@ def _cmd_factorize(args) -> dict:
     ] if args.check_obstructions else None
     strong, weak = count_classes(g)
     reps = []
-    for fact, label in zip(canonical_2factorizations(g), strong_class_labels(g)):
+    for fact, label in analyze(g).canonical:
         if fact.product != g:
             raise VerificationError(f"representative multiplies to {fact.product}, not {g}")
         reps.append(

@@ -32,7 +32,7 @@ from functools import cached_property, lru_cache
 from math import gcd
 from typing import Iterator, Optional
 
-from .diagrams import CyclicDiagram, _axis_reading, para_symmetries, reflection_symmetries
+from .diagrams import _axis_reading, para_symmetries, reflection_symmetries
 from .errors import DomainError, VerificationError
 from .obstructions import trace_test
 from .psl2 import (
@@ -43,9 +43,8 @@ from .psl2 import (
     ConjugacyClass,
     GroupElement,
     TwistVector,
+    _classify_full,
     classify,
-    conjugator_to_rep,
-    cutting_conjugator,
     dehn_twist,
     evaluate,
     primitive_root,
@@ -157,15 +156,14 @@ class Analysis:
 
     labels names the element's strong classes, one label each: full_group
     (conjugate to X), equal_twists (conjugate to R^2), one axis label per
-    para-symmetry of the cyclic diagram (negative parabolic or hyperbolic),
-    or none (never 2-factorizable).  The class, the diagram and the labels
-    are computed at once; the canonical pairs on first use, and are then
-    kept on the record.
+    para-symmetry of the class's cyclic diagram cls.diagram (negative
+    parabolic or hyperbolic), or none (never 2-factorizable).  The class and
+    the labels are computed at once; the canonical pairs on first use, and
+    are then kept on the record.
     """
 
     element: GroupElement
     cls: ConjugacyClass
-    diagram: Optional[CyclicDiagram]
     labels: tuple[StrongClassLabel, ...]
 
     @property
@@ -182,18 +180,20 @@ class Analysis:
 
     def _pair(self, label: StrongClassLabel) -> Factorization:
         """The pair of the labelled class, conjugated to multiply to the element."""
+        # g = h^-1 * rep * h, rep X = R L^-1, R^2 or evaluate(diagram.letters)
+        _, h = _classify_full(self.element)
         if label.kind != "axis":
-            h, _ = conjugator_to_rep(self.element)
             return pair(R, L.inverse() if label.kind == "full_group" else R).conjugated_by(h)
-        rotated = self.diagram.rotated(label.anchor)
+        diagram = self.cls.diagram
+        rotated = diagram.rotated(label.anchor)
         first = X * L.inverse() * X.inverse()
-        wing = Y * evaluate(_axis_reading(self.diagram, label.anchor)) * X
+        wing = Y * evaluate(_axis_reading(diagram, label.anchor)) * X
         second = wing * L.inverse() * wing.inverse()
         if first * second != evaluate(rotated):
             raise VerificationError(f"the pair read at axis {label.axis} does not give {rotated}")
         # g = (prefix^-1 h)^-1 * evaluate(rotated) * (prefix^-1 h)
-        h, canon = cutting_conjugator(self.element)
-        return pair(first, second).conjugated_by(evaluate(canon[: label.anchor]).inverse() * h)
+        prefix = evaluate(diagram.letters[: label.anchor])
+        return pair(first, second).conjugated_by(prefix.inverse() * h)
 
     def locate(self, fact: Factorization) -> int:
         """Index of the one canonical strong class that holds the pair fact."""
@@ -216,19 +216,18 @@ class Analysis:
 def analyze(g: GroupElement) -> Analysis:
     """The shared, memoized 2-factorization analysis of g."""
     cls = classify(g)
-    word = cls.diagram_word
-    diagram = CyclicDiagram(word) if word else None
     if cls.kind == "elliptic_order3_pos":
         labels = (StrongClassLabel("full_group"),)
     elif cls.kind == "parabolic" and cls.index == 2:
         labels = (StrongClassLabel("equal_twists"),)
     elif cls.kind == "hyperbolic" or cls.kind == "parabolic" and cls.index < 0:
         labels = tuple(
-            StrongClassLabel("axis", s.axis, min(s.anchor_starts)) for s in para_symmetries(diagram)
+            StrongClassLabel("axis", s.axis, min(s.anchor_starts))
+            for s in para_symmetries(cls.diagram)
         )
     else:
         labels = ()
-    return Analysis(g, cls, diagram, labels)
+    return Analysis(g, cls, labels)
 
 
 def exists_2factorization(g: GroupElement) -> bool:
@@ -337,7 +336,8 @@ def factorization_reality(g: GroupElement) -> FactorizationRealityReport:
         return FactorizationRealityReport(False, reason="no 2-factorization exists")
     if labels[0].kind != "axis":
         return FactorizationRealityReport(True, classes=("real",), real_structure_count=2)
-    reflections = len(reflection_symmetries(analysis.diagram))
+    diagram = analysis.cls.diagram
+    reflections = len(reflection_symmetries(diagram))
     if analysis.cls.kind == "parabolic":
         # the L^4 class: both classes real, two of the four reflections
         # preserve each of them and the two others swap them
@@ -349,7 +349,7 @@ def factorization_reality(g: GroupElement) -> FactorizationRealityReport:
             False, reason="element is not real", real_structure_count=0
         )
     if len(labels) == 1:
-        a_word = _axis_reading(analysis.diagram, labels[0].anchor)
+        a_word = _axis_reading(diagram, labels[0].anchor)
         if a_word != a_word[::-1]:
             raise VerificationError(f"real one-axis element {g} has a non-palindromic wing")
         return FactorizationRealityReport(

@@ -133,7 +133,7 @@ def branch_word(word: str) -> PseudoTree:
 
 def monodromy_class(word: str) -> ConjugacyClass:
     """Conjugacy class of the monodromy at infinity of a zigzag-free curve."""
-    return _cutting_word_class(_cutting_diagram(_require_zigzag_free(word)).letters)
+    return _cutting_word_class(_cutting_diagram(_require_zigzag_free(word)))
 
 
 def _stones_from_even_cutting(diagram: CyclicDiagram) -> str:

@@ -441,13 +441,18 @@ def enumerate_classes(
         raise BudgetError(f"4^{n} stone words exceed the budget of {budget}")
     start = time.perf_counter()
     found = _pendant_words(n, w)
-    # only a w = 2 monodromy has a second class
-    reps = [
-        (word, label.describe())
-        for word in _orbit_minima(found, category)
-        for idx, label in enumerate(_labels(found[word], w))
-        if idx == 0 or not _stabilizer_swaps(word, found[word], category)
-    ]
+    described: dict[GroupElement, list[str]] = {}  # each distinct monodromy's labels
+    reps = []
+    for word in _orbit_minima(found, category):
+        g = found[word]
+        labels = described.get(g)
+        if labels is None:
+            labels = described[g] = [label.describe() for label in _labels(g, w)]
+        reps.append((word, labels[0]))
+        # a second class (w = 2 only) is a pair orbit of its own unless the
+        # word's stabilizer carries class 0 onto it
+        if len(labels) == 2 and not _stabilizer_swaps(word, g, category):
+            reps.append((word, labels[1]))
     return EnumerationResult(
         k=k,
         w=w,

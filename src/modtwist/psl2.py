@@ -27,6 +27,10 @@ The tuple's concatenation, repetition and ordering raise TypeError, and
 ``g * h`` is the group product.  Python integers are unbounded, so no
 overflow handling is needed anywhere; an element whose normal form would
 exceed QUOTIENT_SUM_CAP L-steps is refused with BudgetError.
+
+A parabolic or hyperbolic ConjugacyClass holds its cutting word as a
+CyclicDiagram, rotated to its least rotation once per element; the
+conjugators, reality, roots, degrees and factorization.analyze read it.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import Optional
 
-from .diagrams import CyclicDiagram, canonical_rotation, reflection_symmetries
+from .diagrams import CyclicDiagram, reflection_symmetries
 from .errors import BudgetError, DomainError, ParseError, VerificationError
 
 __all__ = [
@@ -226,38 +230,35 @@ class ConjugacyClass:
     """Tagged conjugacy class of an element of PSL(2,Z).
 
     kind is one of "identity", "elliptic_order2", "elliptic_order3_pos",
-    "elliptic_order3_neg", "parabolic", "hyperbolic".  Parabolic classes
-    carry the signed index n with g ~ R^n (n < 0 encodes all-L cutting
-    words); hyperbolic classes carry the cutting word as a cyclic diagram.
+    "elliptic_order3_neg", "parabolic", "hyperbolic".  A parabolic class
+    (g ~ R^n, with n < 0 for an all-L word) or a hyperbolic class carries its
+    cutting word as a cyclic diagram, of one letter or of both letters.
     """
 
     kind: str
-    index: Optional[int] = None
-    cutting_word: Optional[str] = None
+    diagram: Optional[CyclicDiagram] = None
 
     def __post_init__(self):
-        if self.kind == "parabolic" and not self.index:
-            raise DomainError("parabolic class needs a nonzero index")
-        if self.kind == "hyperbolic":
-            w = self.cutting_word
-            if not w or "L" not in w or "R" not in w:
-                raise DomainError("hyperbolic cutting word must contain both letters")
+        letters = self.diagram.letters if self.diagram else ""
+        both = "L" in letters and "R" in letters
+        if self.kind == "parabolic" and (both or not letters):
+            raise DomainError("parabolic class needs a one-letter cutting word")
+        if self.kind == "hyperbolic" and not both:
+            raise DomainError("hyperbolic cutting word must contain both letters")
 
     @property
-    def diagram_word(self) -> Optional[str]:
-        """Cutting word of the cyclic diagram (parabolic and hyperbolic only)."""
-        if self.kind == "hyperbolic":
-            return self.cutting_word
-        if self.kind == "parabolic":
-            letter = "R" if self.index > 0 else "L"
-            return letter * abs(self.index)
-        return None
+    def index(self) -> Optional[int]:
+        """The signed n with g ~ R^n of a parabolic class, else None."""
+        if self.kind != "parabolic":
+            return None
+        n = len(self.diagram)
+        return n if self.diagram.letters[0] == "R" else -n
 
     def describe(self) -> str:
         if self.kind == "parabolic":
             return f"parabolic({self.index:+d})"
         if self.kind == "hyperbolic":
-            return f"hyperbolic({self.cutting_word})"
+            return f"hyperbolic({self.diagram.letters})"
         return self.kind
 
 
@@ -432,14 +433,11 @@ _ELLIPTIC = {
 }
 
 
-def _cutting_word_class(letters: str) -> ConjugacyClass:
+def _cutting_word_class(diagram: CyclicDiagram) -> ConjugacyClass:
     """The class of a cyclic word over L, R.  A word with both letters is
     cyclically reduced in Z3 * Z2, so it is its own class up to rotation."""
-    if "R" not in letters:
-        return ConjugacyClass("parabolic", index=-len(letters))
-    if "L" not in letters:
-        return ConjugacyClass("parabolic", index=len(letters))
-    return ConjugacyClass("hyperbolic", cutting_word=canonical_rotation(letters))
+    both = "L" in diagram.letters and "R" in diagram.letters
+    return ConjugacyClass("hyperbolic" if both else "parabolic", diagram)
 
 
 # One normal form and one conjugator per element serve every class query.
@@ -450,7 +448,7 @@ def _cutting_word_class(letters: str) -> ConjugacyClass:
 @lru_cache(maxsize=4096)
 def _classify_full(g: GroupElement) -> tuple[ConjugacyClass, GroupElement]:
     """(cls, h) with g = h^-1 * rep * h exactly, rep the identity, Y, X or X^2
-    (_ELLIPTIC) or else evaluate(cls.diagram_word)."""
+    (_ELLIPTIC) or else evaluate(cls.diagram.letters)."""
     syl = normal_form(g).syllables
     # peel syl[i] and syl[j - 1] off both ends while they come from one
     # factor; a nonzero merged syllable ends the reduction, since the
@@ -479,14 +477,14 @@ def _classify_full(g: GroupElement) -> tuple[ConjugacyClass, GroupElement]:
     letters = "".join("L" if exp == 1 else "R" for gen, exp in syl if gen == "X")
     if 2 * len(letters) != len(syl):
         raise VerificationError(f"cyclic reduction of {g} does not alternate")
-    cls = _cutting_word_class(letters)
-    r = (letters + letters).index(cls.diagram_word)
+    cls = _cutting_word_class(CyclicDiagram(letters))
+    r = (letters + letters).index(cls.diagram.letters)
     # evaluate(letters) = p * evaluate(canon) * p^-1 for p = evaluate(letters[:r])
     return cls, (u * evaluate(letters[:r])).inverse()
 
 
 def classify(g: GroupElement) -> ConjugacyClass:
-    """Conjugacy class of g; hyperbolic cutting words are canonically rotated."""
+    """Conjugacy class of g, with the least rotation of its cutting word."""
     return _classify_full(g)[0]
 
 
@@ -494,9 +492,9 @@ def cutting_conjugator(g: GroupElement) -> tuple[GroupElement, str]:
     """(h, w) with w the canonical rotation of the cutting word and
     g = h^-1 * evaluate(w) * h exactly.  Parabolic or hyperbolic g only."""
     cls, h = _classify_full(g)
-    if cls.diagram_word is None:
+    if cls.diagram is None:
         raise DomainError(f"{cls.kind} element has no cutting word")
-    return h, cls.diagram_word
+    return h, cls.diagram.letters
 
 
 def conjugator_to_rep(g: GroupElement) -> tuple[GroupElement, GroupElement]:
@@ -510,8 +508,7 @@ def conjugator_to_rep(g: GroupElement) -> tuple[GroupElement, GroupElement]:
     if cls.kind == "parabolic" and cls.index < 0:
         # L^|n| = Y * R^n * Y^-1, and Y^-1 = Y in PSL(2,Z)
         return Y * h, R**cls.index
-    word = cls.diagram_word
-    return h, _ELLIPTIC[cls.kind][0] if word is None else evaluate(word)
+    return h, _ELLIPTIC[cls.kind][0] if cls.diagram is None else evaluate(cls.diagram.letters)
 
 
 def dehn_twist(v: TwistVector | tuple[int, int]) -> GroupElement:
@@ -554,17 +551,15 @@ def is_real_element(g: GroupElement) -> bool:
     element is real iff its cyclic diagram has a reflection symmetry.
     """
     cls = classify(g)
-    if cls.kind != "hyperbolic":
-        return True
-    return bool(reflection_symmetries(CyclicDiagram(cls.cutting_word)))
+    return cls.kind != "hyperbolic" or bool(reflection_symmetries(cls.diagram))
 
 
 def primitive_root(g: GroupElement) -> tuple[GroupElement, int]:
     """(h, n) with g = h^n, n maximal.  Parabolic or hyperbolic g only."""
-    cls = classify(g)
-    if cls.kind not in ("parabolic", "hyperbolic"):
+    cls, h = _classify_full(g)
+    if cls.diagram is None:
         raise DomainError(f"primitive root undefined for {cls.kind} element")
-    h, canon = cutting_conjugator(g)
+    canon = cls.diagram.letters
     period = (canon + canon).find(canon, 1)
     n = len(canon) // period
     root = evaluate(canon[:period]).conjugated_by(h)
@@ -580,7 +575,7 @@ def abelian_degree(g: GroupElement) -> int:
     degree #R - #L, and the elliptic classes have fixed degrees.
     """
     cls = classify(g)
-    word = cls.diagram_word
-    if word is None:
+    if cls.diagram is None:
         return _ELLIPTIC[cls.kind][1]
+    word = cls.diagram.letters
     return (word.count("R") - word.count("L")) % 6

@@ -93,7 +93,7 @@ def from_twists(
     fact = pair(dehn_twist(u), dehn_twist(v))
     analysis = analyze(fact.product)
     idx = analysis.locate(fact)
-    a_word = _axis_reading(analysis.diagram, analysis.labels[idx].anchor)
+    a_word = _axis_reading(analysis.cls.diagram, analysis.labels[idx].anchor)
     tree = PseudoTree(a_word.translate(_LETTER_TO_BRANCH))
     return MarkedPseudoTree(tree, "left" if idx == 0 else "right")
 

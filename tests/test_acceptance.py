@@ -170,8 +170,8 @@ def test_criterion_7_mcurve_anchors():
         flat_ud == flat_du == canonicalize("OOOOOSSSSS", "flat_oriented")
         and canonical_class("*ud*", directed=True) != canonical_class("*du*", directed=True)
         and flat_diagram("*dudduudu*") == flat_diagram("*duududdu*") == target30
-        and CyclicDiagram(monodromy_class("*dudduudu*").diagram_word) == class_target
-        and CyclicDiagram(monodromy_class("*duududdu*").diagram_word) == class_target
+        and monodromy_class("*dudduudu*").diagram == class_target
+        and monodromy_class("*duududdu*").diagram == class_target
         and canonical_class("*dudduudu*") != canonical_class("*duududdu*")
     )
     _verdict(7, ok, "junction-word anchors: flat diagrams, monodromy classes, class splits")

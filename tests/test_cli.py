@@ -3,6 +3,7 @@ import io
 import json
 import math
 import time
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from modtwist import cli
 from modtwist.cli import main
 from modtwist.errors import VerificationError
-from modtwist.factorization import pair
+from modtwist.factorization import StrongClassLabel, pair
 from modtwist.psl2 import QUOTIENT_SUM_CAP, R, evaluate
 
 
@@ -81,7 +82,8 @@ def test_factorize_x(capsys):
 
 def test_factorize_rejects_a_wrong_representative(monkeypatch):
     # R * R is not L^4: the re-check must refuse to print it
-    monkeypatch.setattr(cli, "canonical_2factorizations", lambda g: [pair(R, R)])
+    wrong = SimpleNamespace(canonical=[(pair(R, R), StrongClassLabel("equal_twists"))])
+    monkeypatch.setattr(cli, "analyze", lambda g: wrong)
     with pytest.raises(VerificationError):
         main(["factorize", "L^4"])
 

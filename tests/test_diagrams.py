@@ -471,5 +471,5 @@ def test_junction_disjoint_forms_match_the_rotation_scan(arrows, mirrored):
     if mirrored:
         arrows += arrows[::-1].translate(str.maketrans("ud", "du"))
     cls = monodromy_class("*" + arrows + "*")
-    if cls.diagram_word is not None:
-        _check_disjoint_form(CyclicDiagram(cls.diagram_word))
+    if cls.diagram is not None:
+        _check_disjoint_form(cls.diagram)

@@ -75,7 +75,7 @@ def test_branch_word_even_and_anchored():
     tree = branch_word("*ud*")
     assert is_even_tree(tree)
     cls = monodromy_class("*ud*")
-    assert CyclicDiagram(cls.diagram_word) == build_disjoint_axis_diagram((1, 3))
+    assert cls.diagram == build_disjoint_axis_diagram((1, 3))
     for word in ["*ud*", "*uu*", "*dddd*", "*uddu*", "*dudduudu*"]:
         assert is_even_tree(branch_word(word))
     with pytest.raises(DomainError):
@@ -103,7 +103,7 @@ def test_degree30_monodromy_class():
     target = build_disjoint_axis_diagram((1, 3), "LLRR")
     for word in ["*dudduudu*", "*duududdu*"]:
         cls = monodromy_class(word)
-        assert CyclicDiagram(cls.diagram_word) == target
+        assert cls.diagram == target
 
 
 def test_cutting_word_matches_the_multiplied_out_monodromy():
@@ -114,7 +114,7 @@ def test_cutting_word_matches_the_multiplied_out_monodromy():
             reference = classify(monodromy_at_infinity(branch_word(word)))
             assert monodromy_class(word) == reference, word
             # the diagram classes_sharing_real_part recognizes
-            assert _cutting_diagram(word) == CyclicDiagram(reference.diagram_word), word
+            assert _cutting_diagram(word) == reference.diagram, word
 
 
 def test_degree30_pair_separates_strong_classes():

@@ -473,7 +473,6 @@ def test_arrowless_two_pendant_words_have_paired_r_runs():
     # without arrow stones a 2-factorizable monodromy has even R-runs
     import itertools
 
-    from modtwist.diagrams import CyclicDiagram
     from modtwist.factorization import exists_2factorization
 
     checked = 0
@@ -482,7 +481,7 @@ def test_arrowless_two_pendant_words_have_paired_r_runs():
         g = monodromy(word)
         if not exists_2factorization(g):
             continue
-        letters = CyclicDiagram(classify(g).diagram_word).letters
+        letters = classify(g).diagram.letters
         if "R" not in letters:
             continue  # the all-L parabolic case has no R-runs
         start = next(i for i in range(len(letters)) if letters[i] != letters[i - 1])

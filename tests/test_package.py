@@ -84,3 +84,14 @@ def test_the_package_exports_exactly_what_its_modules_declare():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert public == declared
+
+
+def test_ci_runs_tier1_from_the_declared_python_floor():
+    yaml = pytest.importorskip("yaml")
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parent.parent
+    workflow = yaml.safe_load((root / ".github" / "workflows" / "tier1.yml").read_text())
+    versions = workflow["jobs"]["tests"]["strategy"]["matrix"]["python-version"]
+    floor = tomllib.loads((root / "pyproject.toml").read_text())["project"]["requires-python"]
+    assert floor == ">=" + versions[0]
+    assert versions == ["3.10", "3.11", "3.12"]

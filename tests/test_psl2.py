@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from modtwist.diagrams import CyclicDiagram
 from modtwist.errors import BudgetError, DomainError, ParseError
 from modtwist.psl2 import (
     IDENTITY,
@@ -280,15 +281,15 @@ def _random_elements(count, seed=7, length=8):
 
 
 def test_classify_examples():
-    assert classify(evaluate("R^2")) == ConjugacyClass("parabolic", index=2)
-    assert classify(evaluate("L^4")) == ConjugacyClass("parabolic", index=-4)
+    assert classify(evaluate("R^2")) == ConjugacyClass("parabolic", CyclicDiagram("RR"))
+    assert classify(evaluate("L^4")) == ConjugacyClass("parabolic", CyclicDiagram("LLLL"))
     assert classify(evaluate("R L^-1")).kind == "elliptic_order3_pos"
     assert classify(evaluate("L R^-1")).kind == "elliptic_order3_neg"
     assert classify(Y).kind == "elliptic_order2"
     assert classify(IDENTITY).kind == "identity"
     cls = classify(evaluate("R^3 L R^2"))
     assert cls.kind == "hyperbolic"
-    assert sorted(cls.cutting_word) == sorted("RRRLRR")
+    assert sorted(cls.diagram.letters) == sorted("RRRLRR")
     assert evaluate("R^3 L R^2").trace == 7
 
 
@@ -344,7 +345,7 @@ def test_conjugator_to_rep():
     for g in _random_elements(100, seed=13):
         h, rep = conjugator_to_rep(g)
         assert h.inverse() * rep * h == g
-        if classify(g).diagram_word is not None:
+        if classify(g).diagram is not None:
             h, w = cutting_conjugator(g)
             assert h.inverse() * evaluate(w) * h == g
 

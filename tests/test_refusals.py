@@ -46,7 +46,8 @@ REFUSED = {
     "adjacent syllables of one factor": lambda: SyllableWord((("X", 1), ("X", 1))),
     "bad syllable": lambda: SyllableWord((("Y", 2),)),
     "parabolic class without index": lambda: ConjugacyClass("parabolic"),
-    "hyperbolic word lacking R": lambda: ConjugacyClass("hyperbolic", cutting_word="LLL"),
+    "hyperbolic word lacking R": lambda: ConjugacyClass("hyperbolic", CyclicDiagram("LLL")),
+    "parabolic class with both letters": lambda: ConjugacyClass("parabolic", CyclicDiagram("LR")),
     "real structure of determinant 1": lambda: RealStructure(1, 0, 0, 1),
     "real structure not an involution": lambda: RealStructure(1, 1, 1, 0),
     "cutting word of an elliptic element": lambda: cutting_conjugator(X),

@@ -20,9 +20,9 @@ from modtwist.skeleton import (
 def test_monodromy_at_infinity():
     assert classify(monodromy_at_infinity(PseudoTree(""))).index == -4
     cls = classify(monodromy_at_infinity(PseudoTree("uu")))
-    assert CyclicDiagram(cls.cutting_word) == CyclicDiagram("LLLLLLRR")
+    assert cls.diagram == CyclicDiagram("LLLLLLRR")
     cls = classify(monodromy_at_infinity(PseudoTree("ud")))
-    assert CyclicDiagram(cls.cutting_word) == CyclicDiagram("LLLRLLLR")
+    assert cls.diagram == CyclicDiagram("LLLRLLLR")
 
 
 def test_from_twists_cases():
@@ -86,7 +86,7 @@ def test_branch_word_roundtrip_through_axis():
             tree = PseudoTree("".join(bits))
             g = monodromy_at_infinity(tree)
             cls = classify(g)
-            diagram = CyclicDiagram(cls.diagram_word)
+            diagram = cls.diagram
             a_expected = tree.branches.translate(str.maketrans("ud", "LR"))
             words = {axis_word(diagram, s) for s in para_symmetries(diagram)}
             assert a_expected in words or word_transpose(a_expected) in words, bits
