@@ -6,16 +6,15 @@ violation), 4 budget exceeded (the entry-size cap of psl2.normal_form
 and a result integer past the digit limit included) or memory
 exhausted.  Output is a single
 JSON document on stdout with sorted keys; --pretty switches to indented
-rendering.  The word budget for enumeration can be overridden with the
-MODTWIST_BUDGET environment variable (not an integer: exit 2);
-factorize --max-modulus runs within the modulus budget of 12 (exit 4 past it).
+rendering.  necklace enumerate runs within the budget k <= 2 (exit 4
+past it, at once); factorize --max-modulus runs within the modulus budget
+of 12 (exit 4 past it).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import asdict
 from typing import Optional
@@ -101,25 +100,10 @@ def _cmd_factorize(args) -> dict:
     return payload
 
 
-def _budget() -> int:
-    raw = os.environ.get("MODTWIST_BUDGET")
-    try:
-        return int(raw) if raw else nk.DEFAULT_WORD_BUDGET
-    except ValueError:
-        raise ParseError("MODTWIST_BUDGET is not an integer") from None
-
-
 def _cmd_necklace(args) -> dict:
     if args.necklace_command == "stats":
-        payload = asdict(nk.stats(args.word, k=args.k, w=args.w))
-        del payload["k"], payload["w"]
-        return payload
-    result = nk.enumerate_classes(
-        args.k,
-        args.w,
-        category=args.category,
-        budget=_budget(),
-    )
+        return asdict(nk.stats(args.word, k=args.k, w=args.w))
+    result = nk.enumerate_classes(args.k, args.w, category=args.category)
     if args.out:
         try:
             with open(args.out, "w") as handle:

@@ -166,13 +166,6 @@ class Analysis:
     cls: ConjugacyClass
     labels: tuple[StrongClassLabel, ...]
 
-    @property
-    def weak_count(self) -> int:
-        # the two classes of the L^4 class are conjugate by a root of it
-        if self.cls.kind == "parabolic" and len(self.labels) == 2:
-            return 1
-        return len(self.labels)
-
     @cached_property
     def canonical(self) -> tuple[tuple[Factorization, StrongClassLabel], ...]:
         """One verified (representative, label) per strong class."""
@@ -250,7 +243,11 @@ def strong_class_labels(g: GroupElement) -> list[StrongClassLabel]:
 def count_classes(g: GroupElement) -> tuple[int, int]:
     """(strong, weak) counts of equivalence classes of 2-factorizations."""
     analysis = analyze(g)
-    return len(analysis.labels), analysis.weak_count
+    strong = len(analysis.labels)
+    # the two classes of the L^4 class are conjugate by a root of it
+    if analysis.cls.kind == "parabolic" and strong == 2:
+        return 2, 1
+    return strong, strong
 
 
 def _walk(f: Factorization, targets: list[Factorization]) -> list[int]:

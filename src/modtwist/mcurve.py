@@ -22,6 +22,8 @@ alternating per run.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .diagrams import CyclicDiagram, cutting_period_cycle, is_even_word, recognize, word_transpose
 from .errors import BudgetError, DomainError, ParseError, VerificationError
 from .necklace import NecklaceClass, canonicalize
@@ -99,6 +101,8 @@ def _interior_blocks(word: str) -> str:
     return "".join(ARROW_BLOCK[ch] * 2 for ch in word[1:-1])
 
 
+# one entry: the CLI's mcurve payload reads the diagram of one word three times
+@lru_cache(maxsize=1)
 def _cutting_diagram(word: str) -> CyclicDiagram:
     """The cyclic word L.L.A.L.L.At, A the doubled blocks of the interior.
 

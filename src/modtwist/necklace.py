@@ -161,8 +161,6 @@ class NecklaceStats:
     essential: int
     maximal: Optional[bool] = None
     essential_obstruction: Optional[bool] = None
-    k: Optional[int] = None
-    w: Optional[int] = None
 
 
 def stats(word: str, k: Optional[int] = None, w: Optional[int] = None) -> NecklaceStats:
@@ -206,8 +204,6 @@ def stats(word: str, k: Optional[int] = None, w: Optional[int] = None) -> Neckla
         essential=essential,
         maximal=maximal,
         essential_obstruction=obstruction,
-        k=k,
-        w=w,
     )
 
 
@@ -305,8 +301,6 @@ class EnumerationResult:
             "elapsed": round(self.elapsed, 3),
         }
 
-
-DEFAULT_WORD_BUDGET = 4**14
 
 # the pendant condition on a monodromy per weight w, and the one label for w <= 1
 _HAS_PENDANT = {
@@ -419,28 +413,21 @@ def _stabilizer_swaps(w0: str, g: GroupElement, category: str) -> bool:
     return False
 
 
-def enumerate_classes(
-    k: int,
-    w: int,
-    category: str = "nonoriented",
-    budget: int = DEFAULT_WORD_BUDGET,
-) -> EnumerationResult:
+def enumerate_classes(k: int, w: int, category: str = "nonoriented") -> EnumerationResult:
     """Count w-pendant necklace diagram classes of length 6k - w.
 
     category is "oriented" (cyclic shifts, with the pendant conjugated
-    along) or "nonoriented" (shifts and the inverse).  The raw search
-    space 4^(6k-w) must fit the word budget.
+    along) or "nonoriented" (shifts and the inverse).  The enumeration is
+    capped at k <= 2: k = 3 already holds 4^16 to 4^18 raw stone words.
     """
     if k < 1 or w not in (0, 1, 2):
         raise DomainError("need k >= 1 and w in {0, 1, 2}")
     if category not in ("oriented", "nonoriented"):
         raise DomainError("enumeration categories are oriented and nonoriented")
-    n = 6 * k - w
-    # 4^n > budget, decided on bit lengths so that refusing costs nothing
-    if budget < 1 or 2 * n >= budget.bit_length():
-        raise BudgetError(f"4^{n} stone words exceed the budget of {budget}")
+    if k > 2:
+        raise BudgetError(f"k = {k} is past the enumeration budget of k <= 2")
     start = time.perf_counter()
-    found = _pendant_words(n, w)
+    found = _pendant_words(6 * k - w, w)
     described: dict[GroupElement, list[str]] = {}  # each distinct monodromy's labels
     reps = []
     for word in _orbit_minima(found, category):

@@ -1,11 +1,12 @@
 import pytest
 
-from modtwist import factorization, psl2
+from modtwist import factorization, mcurve, psl2
 
 
 def _clear_memos():
     factorization.analyze.cache_clear()
     psl2._classify_full.cache_clear()
+    mcurve._cutting_diagram.cache_clear()
 
 
 @pytest.fixture(autouse=True)

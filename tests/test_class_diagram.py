@@ -28,7 +28,8 @@ ZIGZAG_FREE = ["**", "*u*", "*ud*", "*uddu*", "*dudduudu*", "*" + "uudd" * 300 +
 @pytest.fixture
 def rotations(monkeypatch):
     """The L/R words passed to diagrams.canonical_rotation, under every name
-    a modtwist module binds it to, with the class and analysis memos cleared."""
+    a modtwist module binds it to, with the class, analysis and cutting
+    diagram memos cleared."""
     original = diagrams.canonical_rotation
     words = []
 
@@ -42,9 +43,11 @@ def rotations(monkeypatch):
             monkeypatch.setattr(module, "canonical_rotation", counted)
     psl2._classify_full.cache_clear()
     factorization.analyze.cache_clear()
+    mcurve._cutting_diagram.cache_clear()
     yield words
     psl2._classify_full.cache_clear()
     factorization.analyze.cache_clear()
+    mcurve._cutting_diagram.cache_clear()
 
 
 @pytest.mark.parametrize("text", HYPERBOLIC)
@@ -66,9 +69,14 @@ def test_classify_and_factorize_rotate_the_cutting_word_once(rotations, capsys, 
 
 
 @pytest.mark.parametrize("word", ZIGZAG_FREE)
-def test_monodromy_class_rotates_the_cutting_word_once(rotations, word):
+def test_monodromy_class_rotates_the_cutting_word_once(rotations, capsys, word):
     mcurve.monodromy_class(word)
     assert len(rotations) == 1
+    # the CLI payload's flat diagram, class and shared real part reuse that
+    # diagram (recognize and is_even_word rotate words of their own)
+    assert cli.main(["mcurve", word]) == 0
+    capsys.readouterr()
+    assert mcurve._cutting_diagram.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("n", list(range(1, 9)) + [QUOTIENT_SUM_CAP])

@@ -432,21 +432,13 @@ def test_enumeration_oriented_vs_nonoriented():
 
 
 def test_enumeration_budget():
-    with pytest.raises(BudgetError):
-        enumerate_classes(3, 0)
+    for w in (0, 1, 2):
+        with pytest.raises(BudgetError, match="budget"):
+            enumerate_classes(3, w)
     with pytest.raises(DomainError):
         enumerate_classes(1, 3)
     with pytest.raises(DomainError):
         enumerate_classes(1, 0, category="flat_oriented")
-
-
-@pytest.mark.parametrize("budget", [4**4 - 1, 1, 0, -1, -(10**9), -(4**40)])
-def test_enumeration_budget_refuses_below_4_to_the_n(budget):
-    # the bit-length comparison agrees with 4^n > budget on both sides
-    # of the boundary, and for every budget of 0 or below
-    with pytest.raises(BudgetError):
-        enumerate_classes(1, 2, budget=budget)
-    assert enumerate_classes(1, 2, budget=4**4).count == 24
 
 
 def test_enumeration_representatives_are_canonical():
