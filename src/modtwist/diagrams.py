@@ -248,7 +248,8 @@ def recognize(diagram: CyclicDiagram) -> DiagramForm:
     anchors2 = {j for start in s2.anchor_starts for j in (start, (start + 1) % len(diagram))}
     if anchors1 & anchors2:
         m = (len(diagram) - 4) // 4
-        if diagram != build_shared_axis_diagram(m):
+        # the chain LL(LR)^m LL(LR)^m is its own least rotation
+        if diagram.letters != ("LL" + "LR" * m) * 2:
             raise VerificationError(
                 f"shared-anchor diagram {diagram.letters} is not the chain with m={m}"
             )
@@ -308,8 +309,10 @@ def cutting_period_cycle(diagram: CyclicDiagram) -> tuple[int, ...]:
 
 
 def is_even_word(word: Union[str, CyclicDiagram]) -> bool:
-    """True iff every run of the cyclic word has even length."""
-    if not word:
-        return True
-    diagram = word if isinstance(word, CyclicDiagram) else CyclicDiagram(word)
-    return all(length % 2 == 0 for length in cutting_period_cycle(diagram))
+    """True iff every run of the cyclic word has even length: iff its letters
+    pair up from position 0 or, wrapping around, from position 1."""
+    letters = word.letters if isinstance(word, CyclicDiagram) else word
+    if set(letters) - {"L", "R"}:
+        raise DomainError(f"cyclic words use letters L/R only: {letters!r}")
+    turned = letters[1:] + letters[:1]
+    return letters[::2] == letters[1::2] or turned[::2] == turned[1::2]

@@ -200,11 +200,11 @@ class Analysis:
 
 
 # The size covers the 1,600 distinct monodromies of a pass of the benchmark's
-# pendant_stream workload and the 2,912 half-word products of the k = 2,
-# w = 2 sweep that pass the trace test; the sweep reads the canonical pairs
-# of only 293 (nonoriented) or 535 (oriented) distinct monodromies, of the
-# 1,342 of its 253,880 passing words.  Records are immutable apart from
-# their lazily cached fields, and every query returns a fresh list.
+# pendant_stream workload and the 859 (nonoriented) or 1,290 (oriented)
+# half-word products of the k = 2, w = 2 keyed join that pass the trace
+# test; the enumeration reads the canonical pairs of only 293 or 535 of
+# them, the monodromies of its orbit minima.  Records are immutable apart
+# from their lazily cached fields, and every query returns a fresh list.
 @lru_cache(maxsize=4096)
 def analyze(g: GroupElement) -> Analysis:
     """The shared, memoized 2-factorization analysis of g."""
@@ -226,7 +226,7 @@ def analyze(g: GroupElement) -> Analysis:
 def exists_2factorization(g: GroupElement) -> bool:
     """True iff g is a product of two positive Dehn twists."""
     # a twist pair has SL trace 2 - w^2, so failing the trace test is an exact
-    # no, and 9 in 10 k = 2, w = 2 half-word products then fill no memo entry
+    # no, and 7 in 8 k = 2, w = 2 half-word products then fill no memo entry
     return trace_test(g) and bool(analyze(g).labels)
 
 

@@ -18,16 +18,17 @@ are (diagram, strong-class) pairs, and the pair orbits over a word orbit
 are read off the action of the orbit-minimal word's stabilizer on its
 classes (see _stabilizer_swaps).  The filter joins the half-words over
 their distinct monodromies, deciding the condition once per distinct
-product, and spells out only candidate orbit minima (a prenecklace head
-and a tail no less than it); one sorted sweep over them counts orbits.
+product; a head meets only the tails keyed above it, and an exact test on
+each joined word keeps the orbit minima (see _pendant_words).
 """
 
 from __future__ import annotations
 
 import time
-from bisect import bisect_left
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 from typing import Optional
 
 from .diagrams import canonical_rotation
@@ -83,6 +84,7 @@ STONE_MONODROMY = {
 
 _DUAL = str.maketrans("OS><", "SO<>")
 _INVERT_STONE = str.maketrans("OS><", "OS<>")
+_PAD = "\x7f"  # sorts after every stone letter: read after the end of a half-word
 
 # uncoated-diagram endpoint types (left, right) of the double segment
 _ENDPOINTS = {"O": ("o", "o"), "S": ("x", "x"), ">": ("x", "o"), "<": ("o", "x")}
@@ -234,22 +236,16 @@ class PendantDiagram:
 
 def _orbit_cycles(word: str, category: str) -> list[str]:
     """Cyclic words whose length-n windows are the orbit of word (unvalidated):
-    the seeds (word, its inverse, their duals), or s + dual(s) for a twisted seed s."""
-    seeds = {word}
+    the seeds (word, its inverse, their duals, in this order), or s + dual(s)
+    for a twisted seed s."""
+    seeds = [word]
     if category.endswith("nonoriented"):
-        seeds.add(word[::-1].translate(_INVERT_STONE))
+        seeds.append(word[::-1].translate(_INVERT_STONE))
     if category.startswith("flat"):
-        seeds |= {s.translate(_DUAL) for s in seeds}
+        seeds += [s.translate(_DUAL) for s in seeds]
     if category.startswith("twisted"):
         return [s + s.translate(_DUAL) for s in seeds]
-    return list(seeds)
-
-
-def _windows(word: str, category: str) -> set[str]:
-    """orbit() without its checks: the orbit of a valid word in a valid category."""
-    n = len(word)
-    doubled = [c + c for c in _orbit_cycles(word, category)]
-    return {d[k : k + n] for d in doubled for k in range(len(d) // 2)}
+    return seeds
 
 
 def _checked(word: str, category: str) -> str:
@@ -261,7 +257,9 @@ def _checked(word: str, category: str) -> str:
 
 def orbit(word: str, category: str) -> set[str]:
     """All stone words in the orbit of word under the category's group."""
-    return _windows(_checked(word, category), category)
+    n = len(_checked(word, category))
+    doubled = [c + c for c in _orbit_cycles(word, category)]
+    return {d[k : k + n] for d in doubled for k in range(len(d) // 2)}
 
 
 def canonicalize(word: str, category: str) -> NecklaceClass:
@@ -323,54 +321,67 @@ def _stone_products(length: int) -> list[tuple[str, GroupElement]]:
     return out
 
 
-def _pendant_words(n: int, w: int) -> dict[str, GroupElement]:
-    """Candidate stone words of length n with a w-pendant, mapped to their monodromy.
+def _pendant_words(n: int, w: int, category: str) -> dict[str, GroupElement]:
+    """The orbit minima among stone words of length n with a w-pendant,
+    each mapped to its monodromy.
 
-    A candidate h + t (|h| = n // 2) has a prenecklace head (every h[i:] >=
-    h[:|h| - i]) and a tail t >= h, found by bisect_left on each tail list,
-    sorted once.  A word least among its rotations is one: it is no greater
-    than its rotations starting inside h, nor than t + h with |t| >= |h|.
-    The halves join over their distinct monodromies, deciding the condition
-    once per distinct product; for w = 0 the only partner is the inverse.
+    Pendant word sets are transform-closed: for w = 2 a shift conjugates
+    the monodromy and the inverse applies the anti-automorphism of tau_1,
+    and both keep a product of two positive twists one.  So an orbit's
+    minimum x = h + t (|h| = n // 2 <= |t|) is a pendant word, and every
+    rotation of x and, nonoriented, of y = inverse(h) + inverse(t) starts
+    with |h| letters no less than h.  Where one starts inside a half s,
+    the window of |h| + 1 letters of s + PAD is then above h, as PAD sorts
+    after every stone.  So the key of a half, its least such window (or
+    its inverse's, if less), is above h for the head, a prenecklace, and
+    for the tail.  With the head's key above h, a rotation starting in a
+    head half at a suffix that is not a prefix of h is above x.
+
+    A head joins the tails of a monodromy keyed above it (bisect_right on
+    the sorted keys); a pair of monodromies whose greatest tail key is not
+    above its least head is skipped before its product.  The halves join
+    over distinct monodromies, deciding the condition once per distinct
+    product; for w = 0 the only partner is the inverse.  A joined x is kept
+    iff it is no greater than the rotations of x and y that start in a tail
+    half or at a head suffix that is a prefix of h: exactly the orbit minima.
     """
-    products = {m: _stone_products(m) for m in {n // 2, n - n // 2}}
-    heads: dict[GroupElement, list[str]] = {}
-    for h, g in products[n // 2]:
-        if all(h[i:] >= h[: len(h) - i] for i in range(1, len(h))):
-            heads.setdefault(g, []).append(h)
-    tails: dict[GroupElement, list[str]] = {}
-    for t, g in sorted(products[n - n // 2], key=lambda item: item[0]):
-        tails.setdefault(g, []).append(t)
+    m = n // 2
+    cuts = [slice(j, j + m + 1) for j in range(n - m)]  # the key windows of s + PAD
+
+    def keyed(s: str, g: GroupElement) -> tuple[str, str, str, GroupElement]:
+        cs = _orbit_cycles(s, category)  # returns the key, s, its inverse (oriented, s) and g
+        return min(min(map((c + _PAD).__getitem__, cuts[: len(c)])) for c in cs), s, cs[-1], g
+
+    def open_rotations(h: str) -> list[slice]:  # windows of x + x + y + y (oriented, x + x)
+        return [
+            slice(2 * n * k + i, 2 * n * k + i + n)
+            for k, c in enumerate(_orbit_cycles(h, category))
+            for i in range(k == 0, n)
+            if i >= m or h.startswith(c[i:])
+        ]
+
+    halves = {size: [keyed(s, g) for s, g in _stone_products(size)] for size in {m, n - m}}
+    heads: dict[GroupElement, list[tuple[str, str, list[slice]]]] = {}
+    for key, h, ih, g in halves[m]:
+        if key > h:
+            heads.setdefault(g, []).append((h, ih, open_rotations(h)))
+    tails: dict[GroupElement, list[tuple[str, str, str]]] = {}
+    for key, t, it, g in sorted(halves[n - m]):
+        tails.setdefault(g, []).append((key, t, it))
     holds = lru_cache(maxsize=None)(_HAS_PENDANT[w])
     found: dict[str, GroupElement] = {}
     for gl, hs in heads.items():
-        if w == 0:
-            joins = [(IDENTITY, tails.get(gl.inverse(), []))]
-        else:
-            joins = [(gl * gr, ts) for gr, ts in tails.items()]
-        for g, ts in joins:
-            if holds(g):
-                found.update((h + t, g) for h in hs for t in ts[bisect_left(ts, h) :])
+        least = min(hs)[0]
+        for gr in [gl.inverse()] if w == 0 else tails:
+            joins = tails.get(gr, [])
+            if not joins or joins[-1][0] <= least or not holds(g := gl * gr):
+                continue
+            for h, ih, rotations in hs:
+                for _, t, it in joins[bisect_right(joins, h, key=itemgetter(0)) :]:
+                    x = h + t
+                    if x <= min(map((2 * x + 2 * (ih + it)).__getitem__, rotations)):
+                        found[x] = g
     return found
-
-
-def _orbit_minima(words, category: str) -> list[str]:
-    """Orbit minima among candidates of a transform-closed word set, sorted.
-
-    An orbit's minimum is least among its rotations, so it is a candidate,
-    and it comes before its orbit's other candidates: in one sorted sweep
-    the first candidate still pending is a minimum and strikes its orbit.
-    Pendant word sets are transform-closed: for w = 2 a shift conjugates
-    the monodromy and the inverse applies the anti-automorphism of tau_1,
-    and both keep a product of two positive twists one.
-    """
-    pending = set(words)
-    reps = []
-    for word in sorted(pending):
-        if word in pending:
-            reps.append(word)
-            pending -= _windows(word, category)
-    return reps
 
 
 def _stabilizer_swaps(w0: str, g: GroupElement, category: str) -> bool:
@@ -427,10 +438,10 @@ def enumerate_classes(k: int, w: int, category: str = "nonoriented") -> Enumerat
     if k > 2:
         raise BudgetError(f"k = {k} is past the enumeration budget of k <= 2")
     start = time.perf_counter()
-    found = _pendant_words(6 * k - w, w)
+    found = _pendant_words(6 * k - w, w, category)
     described: dict[GroupElement, list[str]] = {}  # each distinct monodromy's labels
     reps = []
-    for word in _orbit_minima(found, category):
+    for word in sorted(found):
         g = found[word]
         labels = described.get(g)
         if labels is None:

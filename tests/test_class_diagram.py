@@ -73,10 +73,11 @@ def test_monodromy_class_rotates_the_cutting_word_once(rotations, capsys, word):
     mcurve.monodromy_class(word)
     assert len(rotations) == 1
     # the CLI payload's flat diagram, class and shared real part reuse that
-    # diagram (recognize and is_even_word rotate words of their own)
+    # diagram and rotate no word of their own
     assert cli.main(["mcurve", word]) == 0
     capsys.readouterr()
     assert mcurve._cutting_diagram.cache_info().misses == 1
+    assert len(rotations) == 1
 
 
 @pytest.mark.parametrize("n", list(range(1, 9)) + [QUOTIENT_SUM_CAP])

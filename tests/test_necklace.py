@@ -16,6 +16,7 @@ from modtwist.factorization import (
     decide_strong_equivalence,
 )
 from modtwist.necklace import (
+    _PAD,
     CATEGORIES,
     canonicalize,
     dual,
@@ -314,9 +315,21 @@ K2_TSV = {
 }
 
 
-def _check_k2_tsv(tmp_path, capsys, w, category, count, digest):
-    out = tmp_path / f"{w}-{category}.tsv"
-    argv = ["necklace", "enumerate", "--k", "2", "--w", str(w), "--category", category]
+# sha256 of the --out TSV bytes at k = 1, as written by the sorted sweep
+# over candidate orbit minima that the keyed join replaced
+K1_TSV = {
+    (0, "nonoriented"): (25, "7ed49d0b504a55252c35122eed049b433057bfc907ba174a3733b9cfb35adf0f"),
+    (0, "oriented"): (42, "4ff7ef0b617d8ca3b3903324adf2513c32cbee1199166311364c5d280f18831f"),
+    (1, "nonoriented"): (28, "9e7159c568ed2edcbf8c73819ccb61de70ae91433384e4f8081935a800b473de"),
+    (1, "oriented"): (48, "0f583101ed7eded718a5d35179b2eef70deb0d0267f1fcb1e26a8fef388051df"),
+    (2, "nonoriented"): (24, "033443c6a656809fc90370a50eee5c08615d90461fc60fb7a2012bede53ab84d"),
+    (2, "oriented"): (39, "e2b268855fb7ea6d1910b467458d6ecb9fa8a7f81ee60145f8b9d1ad70ee38ca"),
+}
+
+
+def _check_tsv(tmp_path, capsys, k, w, category, count, digest):
+    out = tmp_path / f"{k}-{w}-{category}.tsv"
+    argv = ["necklace", "enumerate", "--k", str(k), "--w", str(w), "--category", category]
     assert cli.main(argv + ["--out", str(out)]) == 0
     assert json.loads(capsys.readouterr().out)["count"] == count
     assert out.read_text().count("\n") == count
@@ -327,12 +340,17 @@ def test_enumeration_k2_two_pendants(tmp_path, capsys):
     # no external reference: the per-word engine this one replaced gives
     # the same count and the same representatives
     for category, (count, digest) in K2_TWO_PENDANT_TSV.items():
-        _check_k2_tsv(tmp_path, capsys, 2, category, count, digest)
+        _check_tsv(tmp_path, capsys, 2, 2, category, count, digest)
 
 
 def test_enumeration_k2_outputs_are_pinned(tmp_path, capsys):
     for (w, category), (count, digest) in K2_TSV.items():
-        _check_k2_tsv(tmp_path, capsys, w, category, count, digest)
+        _check_tsv(tmp_path, capsys, 2, w, category, count, digest)
+
+
+def test_enumeration_k1_outputs_are_pinned(tmp_path, capsys):
+    for (w, category), (count, digest) in K1_TSV.items():
+        _check_tsv(tmp_path, capsys, 1, w, category, count, digest)
 
 
 def _identity_words_by_the_full_half_join(n):
@@ -367,6 +385,22 @@ def test_rotation_minimal_words_have_a_prenecklace_head_and_a_tail_no_less(word)
     head, tail = word[: len(word) // 2], word[len(word) // 2 :]
     assert all(head[i:] >= head[: len(head) - i] for i in range(1, len(head)))
     assert tail >= head
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.text(alphabet=STONES, min_size=4, max_size=12), st.sampled_from(["oriented", "nonoriented"]))
+def test_orbit_minima_have_tail_keys_above_the_head(word, category):
+    # the premises of the keyed join, on the orbit minimum of word: each
+    # window of |head| stones of the tail (and, nonoriented, of its inverse),
+    # read with the pad after it, is above the head; nonoriented, so is each
+    # suffix of the inverse head
+    word = min(orbit(word, category))
+    m = len(word) // 2
+    head, tail = word[:m], word[m:]
+    halves = [tail, inverse(tail)] if category == "nonoriented" else [tail]
+    assert min(s[j : j + m] + _PAD for s in halves for j in range(len(s))) > head
+    if category == "nonoriented":
+        assert all(inverse(head)[i:] + _PAD > head for i in range(m))
 
 
 def _shifted_pair(word, fact):

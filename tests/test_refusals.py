@@ -9,6 +9,7 @@ from modtwist.diagrams import (
     build_disjoint_axis_diagram,
     build_shared_axis_diagram,
     canonical_rotation,
+    is_even_word,
     para_symmetries,
 )
 from modtwist.errors import DomainError
@@ -38,6 +39,7 @@ _FOREIGN_AXIS = para_symmetries(CyclicDiagram("LLLLLLRR"))[0]
 REFUSED = {
     "empty cyclic word": lambda: canonical_rotation(""),
     "letter outside L/R": lambda: CyclicDiagram("LXR"),
+    "even test of a letter outside L/R": lambda: is_even_word("LXR"),
     "para-symmetry of another diagram": lambda: axis_word(
         CyclicDiagram("LLLLRRLLLLRR"), _FOREIGN_AXIS
     ),
