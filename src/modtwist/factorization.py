@@ -44,9 +44,9 @@ from .psl2 import (
     GroupElement,
     TwistVector,
     _classify_full,
+    _run_product,
     classify,
     dehn_twist,
-    evaluate,
     primitive_root,
     product,
     twist_vector,
@@ -180,12 +180,12 @@ class Analysis:
         diagram = self.cls.diagram
         rotated = diagram.rotated(label.anchor)
         first = X * L.inverse() * X.inverse()
-        wing = Y * evaluate(_axis_reading(diagram, label.anchor)) * X
+        wing = Y * _run_product(_axis_reading(diagram, label.anchor)) * X
         second = wing * L.inverse() * wing.inverse()
-        if first * second != evaluate(rotated):
+        if first * second != _run_product(rotated):
             raise VerificationError(f"the pair read at axis {label.axis} does not give {rotated}")
         # g = (prefix^-1 h)^-1 * evaluate(rotated) * (prefix^-1 h)
-        prefix = evaluate(diagram.letters[: label.anchor])
+        prefix = _run_product(diagram.letters[: label.anchor])
         return pair(first, second).conjugated_by(prefix.inverse() * h)
 
     def locate(self, fact: Factorization) -> int:

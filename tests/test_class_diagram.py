@@ -42,10 +42,12 @@ def rotations(monkeypatch):
         if name.startswith("modtwist") and getattr(module, "canonical_rotation", None) is original:
             monkeypatch.setattr(module, "canonical_rotation", counted)
     psl2._classify_full.cache_clear()
+    psl2.normal_form.cache_clear()
     factorization.analyze.cache_clear()
     mcurve._cutting_diagram.cache_clear()
     yield words
     psl2._classify_full.cache_clear()
+    psl2.normal_form.cache_clear()
     factorization.analyze.cache_clear()
     mcurve._cutting_diagram.cache_clear()
 
@@ -66,6 +68,17 @@ def test_classify_and_factorize_rotate_the_cutting_word_once(rotations, capsys, 
     capsys.readouterr()
     assert len(rotations) == 1
     assert classify(g).kind == "hyperbolic"
+
+
+@pytest.mark.parametrize("text", HYPERBOLIC + ["L^4", "R^3", "X", "Y", "", "[[0,1],[-1,5]]"])
+def test_classify_then_normal_form_peels_the_element_once(text):
+    g = psl2.parse_element(text)
+    classify(g)
+    assert psl2.normal_form.cache_info().misses == 1
+    # the public normal form reads the peel that classify made
+    assert psl2.normal_form(g) is psl2.normal_form(g)
+    psl2.conjugator_to_rep(g)
+    assert psl2.normal_form.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("word", ZIGZAG_FREE)

@@ -4,9 +4,10 @@ import pickle
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from modtwist import psl2
 from modtwist.diagrams import CyclicDiagram
 from modtwist.errors import BudgetError, DomainError, ParseError
 from modtwist.psl2 import (
@@ -21,6 +22,7 @@ from modtwist.psl2 import (
     ConjugacyClass,
     GroupElement,
     RealStructure,
+    SyllableWord,
     TwistVector,
     abelian_degree,
     classify,
@@ -30,6 +32,7 @@ from modtwist.psl2 import (
     evaluate,
     is_real_element,
     normal_form,
+    parse_element,
     parse_matrix,
     primitive_root,
     product,
@@ -261,6 +264,62 @@ def test_normal_form_with_long_runs(tokens):
     # long runs of one sign take the appending shortcut of normal_form
     g = evaluate(" ".join(f"{gen}^{exp}" for gen, exp in tokens))
     assert normal_form(g).syllables == _reference_syllables(tokens)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from("LRXY"), st.integers(min_value=-9, max_value=9)),
+        max_size=6,
+    ),
+    st.lists(
+        st.tuples(st.sampled_from("LRXY"), st.integers(min_value=-9, max_value=9)),
+        max_size=6,
+    ),
+    st.booleans(),
+    st.booleans(),
+)
+def test_normal_form_of_zero_quotients_and_cascades(head, tail, y_first, y_last):
+    # a Y at either end makes a = 0 or a last quotient 0; the tail and its
+    # inverse cancel in a cascade of merges in the reference
+    undo = [(gen, -exp) for gen, exp in reversed(tail)]
+    tokens = [("Y", 1)] * y_first + head + tail + undo + [("Y", 1)] * y_last
+    g = evaluate(" ".join(f"{gen}^{exp}" for gen, exp in tokens))
+    nf = normal_form(g)
+    assert SyllableWord(nf.syllables) == nf  # revalidated: reduced and alternating
+    assert evaluate(nf.to_word()) == g
+    assert nf.syllables == _reference_syllables(tokens)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # first quotient 0 (a = 0), last quotient 0 (d = 0), both, and Y alone
+        "[[0,1],[-1,5]]", "[[0,-1],[1,-3]]", "[[5,1],[-1,0]]", "[[3,-1],[1,0]]",
+        "[[0,1],[-1,0]]", "Y L^7 Y", "L^-4 Y", "Y R^6",
+        # letter words that cancel in cascades
+        "L^4 R^2 R^-2 L^-3", "R^7 L^-1 L R^-6", "X Y X^2 Y L^-1 Y X^2 Y X", "L^9 Y L^-9 Y",
+    ],
+)
+def test_normal_form_of_peel_edges_evaluates_back(text):
+    g = parse_element(text)
+    nf = normal_form(g)
+    assert SyllableWord(nf.syllables) == nf
+    assert evaluate(nf.to_word()) == g
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.tuples(st.sampled_from("LR"), st.integers(min_value=1, max_value=6)), max_size=10),
+    st.sampled_from([0, 100_000, 131_073]),
+    st.integers(min_value=0, max_value=10),
+)
+@example([], 0, 0)
+def test_run_product_equals_evaluate(runs, long_run, at):
+    # at most one run of 10^5 letters or more, inserted at a random place
+    runs = runs[:at] + [("L" if at % 2 else "R", long_run)] + runs[at:]
+    word = "".join(letter * n for letter, n in runs)
+    assert psl2._run_product(word) == evaluate(word)
 
 
 def test_normal_form_examples():
