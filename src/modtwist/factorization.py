@@ -29,8 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from math import gcd
-from typing import Iterator, Optional
+from typing import Optional
 
 from .diagrams import _axis_reading, para_symmetries, reflection_symmetries
 from .errors import DomainError, VerificationError
@@ -67,7 +66,6 @@ __all__ = [
     "decide_strong_equivalence",
     "decide_weak_equivalence",
     "factorization_reality",
-    "oracle_products",
 ]
 
 
@@ -358,23 +356,3 @@ def factorization_reality(g: GroupElement) -> FactorizationRealityReport:
         real_structure_count=reflections,
     )
 
-
-def oracle_products(
-    bound: int,
-) -> Iterator[tuple[TwistVector, TwistVector, GroupElement]]:
-    """Brute-force stream of all twist pair products with |p|, |q| <= bound."""
-    if bound < 1:
-        raise DomainError("oracle bound must be >= 1")
-    vectors = sorted(
-        {
-            TwistVector(p, q)
-            for p in range(-bound, bound + 1)
-            for q in range(-bound, bound + 1)
-            if (p, q) != (0, 0) and gcd(p, q) == 1
-        },
-        key=lambda v: (v.p, v.q),
-    )
-    for u in vectors:
-        tu = dehn_twist(u)
-        for v in vectors:
-            yield u, v, tu * dehn_twist(v)

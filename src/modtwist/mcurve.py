@@ -35,7 +35,6 @@ __all__ = [
     "junction_pair_count",
     "vertical_flip",
     "horizontal_flip",
-    "flip",
     "canonical_class",
     "branch_word",
     "monodromy_class",
@@ -72,14 +71,6 @@ def vertical_flip(word: str) -> str:
 
 def horizontal_flip(word: str) -> str:
     return parse_junction_word(word).translate(_SWAP_ARROWS)
-
-
-def flip(word: str, which: str) -> str:
-    if which == "vertical":
-        return vertical_flip(word)
-    if which == "horizontal":
-        return horizontal_flip(word)
-    raise DomainError(f"flip must be vertical or horizontal: {which!r}")
 
 
 def canonical_class(word: str, directed: bool = False) -> str:

@@ -44,7 +44,6 @@ from .psl2 import (
     IDENTITY,
     TAU1,
     GroupElement,
-    Y,
     evaluate,
     product,
     real_involution,
@@ -55,17 +54,13 @@ __all__ = [
     "STONES",
     "NecklaceStats",
     "NecklaceClass",
-    "PendantDiagram",
     "EnumerationResult",
     "CATEGORIES",
     "validate_stone_word",
     "monodromy",
-    "twisted_monodromy",
     "dual",
     "inverse",
     "shift",
-    "twisted_shift",
-    "transform",
     "stats",
     "orbit",
     "canonicalize",
@@ -113,11 +108,6 @@ def monodromy(word: str) -> GroupElement:
     return product(map(STONE_MONODROMY.__getitem__, word))
 
 
-def twisted_monodromy(word: str) -> GroupElement:
-    """monodromy(word) * Y, the monodromy used for twisted diagrams."""
-    return monodromy(word) * Y
-
-
 def dual(word: str) -> str:
     return validate_stone_word(word).translate(_DUAL)
 
@@ -130,26 +120,6 @@ def shift(word: str, k: int = 1) -> str:
     validate_stone_word(word)
     k %= len(word)
     return word[k:] + word[:k]
-
-
-def twisted_shift(word: str, k: int = 1) -> str:
-    """k twisted shifts (rotate, dualize the wrapped stone): a window of word + dual(word)."""
-    cycle = validate_stone_word(word) + dual(word)
-    k %= len(cycle)
-    return (cycle + cycle)[k : k + len(word)]
-
-
-def transform(word: str, action: str, k: int = 1) -> str:
-    """Apply a named action: dual, inverse, shift or twisted_shift."""
-    if action == "dual":
-        return dual(word)
-    if action == "inverse":
-        return inverse(word)
-    if action == "shift":
-        return shift(word, k)
-    if action == "twisted_shift":
-        return twisted_shift(word, k)
-    raise DomainError(f"unknown action {action!r}")
 
 
 @dataclass(frozen=True)
@@ -213,25 +183,6 @@ def stats(word: str, k: Optional[int] = None, w: Optional[int] = None) -> Neckla
 class NecklaceClass:
     category: str
     representative: str
-
-
-@dataclass(frozen=True)
-class PendantDiagram:
-    """A broken necklace diagram together with one of its w-pendants.
-
-    The label must name an actual strong class of w-factorizations of the
-    diagram's monodromy, which is checked on construction.
-    """
-
-    diagram: str
-    weight: int
-    label: StrongClassLabel
-
-    def __post_init__(self):
-        if self.label not in pendants(self.diagram, self.weight):
-            raise DomainError(
-                f"{self.label} is not a {self.weight}-pendant of {self.diagram!r}"
-            )
 
 
 def _orbit_cycles(word: str, category: str) -> list[str]:

@@ -65,7 +65,6 @@ __all__ = [
     "parse_matrix",
     "normal_form",
     "classify",
-    "conjugator_to_rep",
     "cutting_conjugator",
     "dehn_twist",
     "twist_vector",
@@ -194,6 +193,10 @@ class TwistVector(tuple):
         return "TwistVector(p=%d, q=%d)" % self
 
 
+_X_SYLLABLES = frozenset({("X", 1), ("X", 2)})
+_Y_SYLLABLES = frozenset({("Y", 1)})
+
+
 @dataclass(frozen=True)
 class SyllableWord:
     """A reduced word in the free product Z3 * Z2.
@@ -205,15 +208,18 @@ class SyllableWord:
     syllables: tuple[tuple[str, int], ...]
 
     def __post_init__(self):
+        # valid syllables alternate factors iff the even and the odd
+        # positions each hold syllables of one factor: two set tests
+        even, odd = set(self.syllables[::2]), set(self.syllables[1::2])
+        if (even <= _X_SYLLABLES and odd <= _Y_SYLLABLES) or (
+            even <= _Y_SYLLABLES and odd <= _X_SYLLABLES
+        ):
+            return
         for (g1, _), (g2, _) in zip(self.syllables, self.syllables[1:]):
             if g1 == g2:
                 raise DomainError("adjacent syllables from the same factor")
-        for gen, exp in self.syllables:
-            if gen == "X" and exp in (1, 2):
-                continue
-            if gen == "Y" and exp == 1:
-                continue
-            raise DomainError(f"bad syllable ({gen}, {exp})")
+        gen, exp = next(s for s in self.syllables if s not in _X_SYLLABLES | _Y_SYLLABLES)
+        raise DomainError(f"bad syllable ({gen}, {exp})")
 
     def __len__(self):
         return len(self.syllables)
@@ -500,20 +506,6 @@ def cutting_conjugator(g: GroupElement) -> tuple[GroupElement, str]:
     if cls.diagram is None:
         raise DomainError(f"{cls.kind} element has no cutting word")
     return h, cls.diagram.letters
-
-
-def conjugator_to_rep(g: GroupElement) -> tuple[GroupElement, GroupElement]:
-    """(h, rep) with rep the canonical class representative and g = h^-1 * rep * h.
-
-    Representatives: identity, Y, X, X^2, R^n (signed n for parabolic
-    classes), or the evaluation of the canonical rotation of the cutting
-    word for hyperbolic classes.
-    """
-    cls, h = _classify_full(g)
-    if cls.kind == "parabolic" and cls.index < 0:
-        # L^|n| = Y * R^n * Y^-1, and Y^-1 = Y in PSL(2,Z)
-        return Y * h, R**cls.index
-    return h, _ELLIPTIC[cls.kind][0] if cls.diagram is None else _run_product(cls.diagram.letters)
 
 
 def dehn_twist(v: TwistVector | tuple[int, int]) -> GroupElement:

@@ -15,7 +15,6 @@ canonical class, "right" for the second.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
 from typing import Union
 
 from .diagrams import _axis_reading, word_transpose
@@ -30,13 +29,10 @@ __all__ = [
     "CYCLIC",
     "monodromy_at_infinity",
     "from_twists",
-    "isomorphic",
-    "is_even_tree",
 ]
 
 _BRANCH_TO_LETTER = str.maketrans("ud", "LR")
 _LETTER_TO_BRANCH = str.maketrans("LR", "ud")
-_BRANCH_FLIP = str.maketrans("ud", "du")
 
 
 @dataclass(frozen=True)
@@ -48,10 +44,6 @@ class PseudoTree:
     def __post_init__(self):
         if set(self.branches) - {"u", "d"}:
             raise DomainError(f"branches must use letters u/d: {self.branches!r}")
-
-    def transposed(self) -> "PseudoTree":
-        """The tree read from the other monogon: reversed with u <-> d."""
-        return PseudoTree(self.branches[::-1].translate(_BRANCH_FLIP))
 
 
 @dataclass(frozen=True)
@@ -97,20 +89,3 @@ def from_twists(
     tree = PseudoTree(a_word.translate(_LETTER_TO_BRANCH))
     return MarkedPseudoTree(tree, "left" if idx == 0 else "right")
 
-
-def isomorphic(
-    t1: Union[PseudoTree, MarkedPseudoTree], t2: Union[PseudoTree, MarkedPseudoTree]
-) -> bool:
-    """Tree isomorphism: branch words equal or transposed; markings must agree."""
-    if isinstance(t1, MarkedPseudoTree) != isinstance(t2, MarkedPseudoTree):
-        raise DomainError("cannot compare a marked tree with an unmarked one")
-    if isinstance(t1, MarkedPseudoTree):
-        if t1.marking != t2.marking:
-            return False
-        t1, t2 = t1.tree, t2.tree
-    return t1 == t2 or t1 == t2.transposed()
-
-
-def is_even_tree(tree: PseudoTree) -> bool:
-    """True iff the up/down branches come in adjacent equal pairs."""
-    return all(len(list(run)) % 2 == 0 for _, run in groupby(tree.branches))

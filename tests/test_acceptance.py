@@ -20,7 +20,6 @@ from modtwist.factorization import (
     decide_strong_equivalence,
     decide_weak_equivalence,
     exists_2factorization,
-    oracle_products,
     pair,
 )
 from modtwist.mcurve import canonical_class, flat_diagram, monodromy_class
@@ -36,6 +35,7 @@ from modtwist.psl2 import (
     normal_form,
     real_involution,
 )
+from oracle import oracle_products
 
 WORD_ATOMS = ["L", "R", "X", "Y", "L^-1", "R^-1", "X^-1", "L^2", "R^3"]
 

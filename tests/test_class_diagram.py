@@ -61,7 +61,6 @@ def test_classify_and_factorize_rotate_the_cutting_word_once(rotations, capsys, 
     psl2.is_real_element(g)
     psl2.primitive_root(g)
     psl2.cutting_conjugator(g)
-    psl2.conjugator_to_rep(g)
     factorization.canonical_2factorizations(g)
     factorization.strong_class_labels(g)
     factorization.factorization_reality(g)
@@ -77,7 +76,7 @@ def test_classify_then_normal_form_peels_the_element_once(text):
     assert psl2.normal_form.cache_info().misses == 1
     # the public normal form reads the peel that classify made
     assert psl2.normal_form(g) is psl2.normal_form(g)
-    psl2.conjugator_to_rep(g)
+    psl2.abelian_degree(g)
     assert psl2.normal_form.cache_info().misses == 1
 
 

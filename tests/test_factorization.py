@@ -23,7 +23,6 @@ from modtwist.factorization import (
     exists_2factorization,
     factorization_reality,
     hurwitz_move,
-    oracle_products,
     pair,
     strong_class_labels,
 )
@@ -42,6 +41,7 @@ from modtwist.psl2 import (
     primitive_root,
     twist_vector,
 )
+from oracle import oracle_products
 
 
 def test_factorization_validates_twists():
@@ -371,6 +371,8 @@ def test_reality_disjoint_axes_insert_palindrome_controls_structures():
 
 
 def test_oracle_products_small():
+    with pytest.raises(ValueError):
+        next(oracle_products(0))
     triples = list(oracle_products(1))
     assert any(
         u == TwistVector(1, 0) and v == TwistVector(0, 1) and g == X

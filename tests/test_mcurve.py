@@ -21,7 +21,6 @@ from modtwist.mcurve import (
     canonical_class,
     classes_sharing_real_part,
     flat_diagram,
-    flip,
     horizontal_flip,
     junction_pair_count,
     monodromy_class,
@@ -30,7 +29,12 @@ from modtwist.mcurve import (
 )
 from modtwist.necklace import canonicalize, monodromy
 from modtwist.psl2 import L, X, Y, classify, evaluate
-from modtwist.skeleton import is_even_tree, monodromy_at_infinity
+from modtwist.skeleton import monodromy_at_infinity
+
+
+def _even_runs(tree):
+    """True iff the up/down branches come in adjacent equal pairs."""
+    return all(len(list(run)) % 2 == 0 for _, run in itertools.groupby(tree.branches))
 
 
 def test_parse_junction_word():
@@ -50,8 +54,8 @@ def test_parse_junction_word():
 def test_flips():
     assert vertical_flip("*ud*") == "*du*"
     assert horizontal_flip("*ud*") == "*du*"
-    assert flip("*uud*", "vertical") == "*duu*"
-    assert flip("*uud*", "horizontal") == "*ddu*"
+    assert vertical_flip("*uud*") == "*duu*"
+    assert horizontal_flip("*uud*") == "*ddu*"
     word = "*dudduudu*"
     assert vertical_flip(vertical_flip(word)) == word
     assert horizontal_flip(horizontal_flip(word)) == word
@@ -73,11 +77,11 @@ def test_canonical_classes():
 
 def test_branch_word_even_and_anchored():
     tree = branch_word("*ud*")
-    assert is_even_tree(tree)
+    assert _even_runs(tree)
     cls = monodromy_class("*ud*")
     assert cls.diagram == build_disjoint_axis_diagram((1, 3))
     for word in ["*ud*", "*uu*", "*dddd*", "*uddu*", "*dudduudu*"]:
-        assert is_even_tree(branch_word(word))
+        assert _even_runs(branch_word(word))
     with pytest.raises(DomainError):
         branch_word("uud")
 
@@ -95,7 +99,7 @@ def test_every_even_tree_arises_from_a_junction_word():
         for bits in itertools.product("ud", repeat=length):
             branches = "".join(bits)
             tree = PseudoTree(branches)
-            if is_even_tree(tree):
+            if _even_runs(tree):
                 assert branches in reachable, branches
 
 

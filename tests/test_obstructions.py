@@ -3,9 +3,10 @@ import itertools
 import pytest
 
 from modtwist.errors import BudgetError, DomainError
-from modtwist.factorization import exists_2factorization, oracle_products
+from modtwist.factorization import exists_2factorization
 from modtwist.obstructions import _twist_class_mod, finite_quotient_test, trace_test
 from modtwist.psl2 import X, dehn_twist, evaluate
+from oracle import oracle_products
 
 
 def test_trace_test_examples():

@@ -26,7 +26,6 @@ from modtwist.psl2 import (
     TwistVector,
     abelian_degree,
     classify,
-    conjugator_to_rep,
     cutting_conjugator,
     dehn_twist,
     evaluate,
@@ -308,6 +307,38 @@ def test_normal_form_of_peel_edges_evaluates_back(text):
     assert evaluate(nf.to_word()) == g
 
 
+def _syllable_refusal_by_loops(syllables):
+    """Reference: the two per-syllable loops the set tests replaced; the
+    adjacency refusal comes first."""
+    for (g1, _), (g2, _) in zip(syllables, syllables[1:]):
+        if g1 == g2:
+            return "adjacent syllables from the same factor"
+    for gen, exp in syllables:
+        if not ((gen == "X" and exp in (1, 2)) or (gen == "Y" and exp == 1)):
+            return f"bad syllable ({gen}, {exp})"
+    return None
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from("XYZ"), st.integers(min_value=0, max_value=3)), max_size=8
+    )
+)
+@example([("X", 1), ("Y", 1), ("X", 2), ("Y", 1)])
+@example([("Y", 1), ("X", 2), ("Y", 1)])
+@example([("X", 1), ("Y", 2), ("Y", 1)])
+@example([("Z", 1), ("X", 1), ("Y", 1)])
+def test_syllable_word_refuses_as_the_loops_did(syllables):
+    expected = _syllable_refusal_by_loops(syllables)
+    if expected is None:
+        assert SyllableWord(tuple(syllables)).syllables == tuple(syllables)
+    else:
+        with pytest.raises(DomainError) as refused:
+            SyllableWord(tuple(syllables))
+        assert str(refused.value) == expected
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.lists(st.tuples(st.sampled_from("LR"), st.integers(min_value=1, max_value=6)), max_size=10),
@@ -389,24 +420,34 @@ def test_trace_coherence():
 
 
 def test_conjugator_to_rep():
+    # _classify_full's h conjugates the class representative onto g:
+    # g = h^-1 * rep * h, the conjugator Analysis._pair reads
+    def rep(cls):
+        if cls.diagram is None:
+            return psl2._ELLIPTIC[cls.kind][0]
+        return psl2._run_product(cls.diagram.letters)
+
     for word, expected_rep in [
         ("R", R),
         ("L^-1 R L", R),
         ("L R^3 L^-1", R**3),
-        ("L^4", R**-4),
+        ("L^4", L**4),
         ("X", X),
         ("", IDENTITY),
     ]:
         g = evaluate(word)
-        h, rep = conjugator_to_rep(g)
-        assert rep == expected_rep
-        assert h.inverse() * rep * h == g
+        cls, h = psl2._classify_full(g)
+        assert rep(cls) == expected_rep
+        assert h.inverse() * rep(cls) * h == g
+    kinds = set()
     for g in _random_elements(100, seed=13):
-        h, rep = conjugator_to_rep(g)
-        assert h.inverse() * rep * h == g
-        if classify(g).diagram is not None:
+        cls, h = psl2._classify_full(g)
+        kinds.add(cls.kind)
+        assert h.inverse() * rep(cls) * h == g
+        if cls.diagram is not None:
             h, w = cutting_conjugator(g)
             assert h.inverse() * evaluate(w) * h == g
+    assert len(kinds) == 6  # every class kind
 
 
 def test_dehn_twist_formula():

@@ -2,7 +2,6 @@
 
 import pytest
 
-from modtwist import mcurve
 from modtwist.diagrams import (
     CyclicDiagram,
     axis_word,
@@ -17,7 +16,6 @@ from modtwist.factorization import (
     Factorization,
     decide_strong_equivalence,
     decide_weak_equivalence,
-    oracle_products,
     pair,
 )
 from modtwist.necklace import orbit
@@ -59,9 +57,7 @@ REFUSED = {
     "weak equivalence of unequal products": lambda: decide_weak_equivalence(
         pair(R, R), pair(R, L.inverse())
     ),
-    "oracle bound 0": lambda: list(oracle_products(0)),
     "unknown necklace category": lambda: orbit("OS", "bogus"),
-    "unknown junction flip": lambda: mcurve.flip("*u*", "diagonal"),
     "solvable without solutions": lambda: QuotientReport(2, True, 0),
     "branch letter outside u/d": lambda: PseudoTree("x"),
     "marking neither left nor right": lambda: MarkedPseudoTree(PseudoTree(), "up"),

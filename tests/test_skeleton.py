@@ -11,8 +11,6 @@ from modtwist.skeleton import (
     MarkedPseudoTree,
     PseudoTree,
     from_twists,
-    is_even_tree,
-    isomorphic,
     monodromy_at_infinity,
 )
 
@@ -53,30 +51,6 @@ def test_from_twists_markings_distinguish_l4_classes():
         if isinstance(result, MarkedPseudoTree) and result.tree == PseudoTree(""):
             markings.add(result.marking)
     assert markings == {"left", "right"}
-
-
-def test_isomorphic():
-    assert isomorphic(PseudoTree("ud"), PseudoTree("ud"))
-    assert isomorphic(PseudoTree("uu"), PseudoTree("dd"))
-    assert not isomorphic(PseudoTree("uu"), PseudoTree("ud"))
-    assert PseudoTree("ud").transposed() == PseudoTree("ud")
-    assert not isomorphic(
-        MarkedPseudoTree(PseudoTree(""), "left"),
-        MarkedPseudoTree(PseudoTree(""), "right"),
-    )
-    assert isomorphic(
-        MarkedPseudoTree(PseudoTree("uu"), "left"),
-        MarkedPseudoTree(PseudoTree("dd"), "left"),
-    )
-    with pytest.raises(DomainError):
-        isomorphic(PseudoTree("u"), MarkedPseudoTree(PseudoTree("u"), "left"))
-
-
-def test_is_even_tree():
-    assert is_even_tree(PseudoTree(""))
-    assert is_even_tree(PseudoTree("uudd"))
-    assert not is_even_tree(PseudoTree("ud"))
-    assert not is_even_tree(PseudoTree("uuu"))
 
 
 def test_branch_word_roundtrip_through_axis():
