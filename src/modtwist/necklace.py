@@ -16,10 +16,14 @@ the pendant condition (monodromy = id for w = 0, a positive twist for
 w = 1, 2-factorizable for w = 2) and counts orbits; for w = 2 the objects
 are (diagram, strong-class) pairs, and the pair orbits over a word orbit
 are read off the action of the orbit-minimal word's stabilizer on its
-classes (see _stabilizer_swaps).  The filter joins the half-words over
-their distinct monodromies, deciding the condition once per distinct
-product; a head meets only the tails keyed above it, and an exact test on
-each joined word keeps the orbit minima (see _pendant_words).
+classes (see _stabilizer_swaps); for w <= 1 every word carries the one
+label of its weight.  The filter joins the half-words over their distinct
+monodromies, deciding the condition once per distinct product; a head h
+meets only the tails keyed above it, and an exact test on each joined
+word keeps the orbit minima (see _pendant_words).  The keys leave open
+only the rotations at a border of h and those in a tail half that holds
+h or ends with a proper prefix of h, so the test compares each joined
+word with those alone.
 """
 
 from __future__ import annotations
@@ -229,7 +233,9 @@ def pendants(word: str, w: int) -> list[StrongClassLabel]:
     m = monodromy(word)
     if w not in _HAS_PENDANT:
         raise DomainError("pendant weight must be 0, 1 or 2")
-    return _labels(m, w) if _HAS_PENDANT[w](m) else []
+    if not _HAS_PENDANT[w](m):
+        return []
+    return strong_class_labels(m) if w == 2 else [_ONE_PENDANT[w]]
 
 
 @dataclass(frozen=True)
@@ -260,11 +266,6 @@ _HAS_PENDANT = {
 _ONE_PENDANT = {0: StrongClassLabel("empty"), 1: StrongClassLabel("single_twist")}
 
 
-def _labels(g: GroupElement, w: int) -> list[StrongClassLabel]:
-    """The w-pendant labels of a monodromy g that has a w-pendant."""
-    return strong_class_labels(g) if w == 2 else [_ONE_PENDANT[w]]
-
-
 def _stone_products(length: int) -> list[tuple[str, GroupElement]]:
     out = [("", IDENTITY)]
     for _ in range(length):
@@ -279,46 +280,80 @@ def _pendant_words(n: int, w: int, category: str) -> dict[str, GroupElement]:
     Pendant word sets are transform-closed: for w = 2 a shift conjugates
     the monodromy and the inverse applies the anti-automorphism of tau_1,
     and both keep a product of two positive twists one.  So an orbit's
-    minimum x = h + t (|h| = n // 2 <= |t|) is a pendant word, and every
+    minimum x = h + t (|h| = m = n // 2 <= |t|) is a pendant word, and every
     rotation of x and, nonoriented, of y = inverse(h) + inverse(t) starts
-    with |h| letters no less than h.  Where one starts inside a half s,
-    the window of |h| + 1 letters of s + PAD is then above h, as PAD sorts
-    after every stone.  So the key of a half, its least such window (or
-    its inverse's, if less), is above h for the head, a prenecklace, and
-    for the tail.  With the head's key above h, a rotation starting in a
-    head half at a suffix that is not a prefix of h is above x.
+    with m letters no less than h.  Where one starts inside a half s, the
+    window of m + 1 letters of s + PAD is then above h, as PAD sorts after
+    every stone.  So the key of a half, its least such window (or its
+    inverse's, if less), is above h for the head, a prenecklace, and for
+    the tail.
+
+    The key bounds the rotations.  Let a rotation start at offset j of a
+    half s whose key is above h, and let p be the up to m letters of s
+    from j.  Unless p is a prefix of h, the window of s + PAD at j, which
+    starts with p and is above h, first differs from h inside p, and
+    there p is the greater: the rotation is above x.  So the only
+    rotations that can be no greater than x start at a head suffix that
+    is a prefix of h (the head's borders, fixed per head), or in a tail
+    half s (t, or nonoriented inverse(t)) where h occurs in s or where s
+    ends with a proper prefix of h.  A tail half passing neither C-level
+    test opens none of its rotations.
 
     A head joins the tails of a monodromy keyed above it (bisect_right on
     the sorted keys); a pair of monodromies whose greatest tail key is not
     above its least head is skipped before its product.  The halves join
     over distinct monodromies, deciding the condition once per distinct
     product; for w = 0 the only partner is the inverse.  A joined x is kept
-    iff it is no greater than the rotations of x and y that start in a tail
-    half or at a head suffix that is a prefix of h: exactly the orbit minima.
+    iff it is no greater than the head's borders and the rotations that
+    start in a flagged tail half, and with none of them open it is kept
+    as is: exactly the orbit minima.
     """
     m = n // 2
+    nonoriented = category == "nonoriented"
     cuts = [slice(j, j + m + 1) for j in range(n - m)]  # the key windows of s + PAD
+    shared: dict[GroupElement, GroupElement] = {}  # one object per distinct monodromy
 
-    def keyed(s: str, g: GroupElement) -> tuple[str, str, str, GroupElement]:
-        cs = _orbit_cycles(s, category)  # returns the key, s, its inverse (oriented, s) and g
-        return min(min(map((c + _PAD).__getitem__, cuts[: len(c)])) for c in cs), s, cs[-1], g
-
-    def open_rotations(h: str) -> list[slice]:  # windows of x + x + y + y (oriented, x + x)
-        return [
-            slice(2 * n * k + i, 2 * n * k + i + n)
-            for k, c in enumerate(_orbit_cycles(h, category))
-            for i in range(k == 0, n)
-            if i >= m or h.startswith(c[i:])
+    def keyed(size: int) -> list[tuple[str, str, str, GroupElement]]:
+        """(key, s, inverse(s), monodromy(s)) for every stone word s of the size."""
+        windows = cuts[:size]
+        table = [
+            (
+                min(map((s + _PAD).__getitem__, windows)),
+                s,
+                s[::-1].translate(_INVERT_STONE),
+                shared.setdefault(g, g),
+            )
+            for s, g in _stone_products(size)
         ]
+        if not nonoriented:
+            return table
+        key_of = {s: key for key, s, _, _ in table}
+        return [(min(key, key_of[inv]), s, inv, g) for key, s, inv, g in table]
 
-    halves = {size: [keyed(s, g) for s, g in _stone_products(size)] for size in {m, n - m}}
-    heads: dict[GroupElement, list[tuple[str, str, list[slice]]]] = {}
+    # the rotations of x + x + y + y (oriented, x + x) that start in t, and in inverse(t)
+    in_t, in_it = ([slice(2 * n * c + i, 2 * n * c + i + n) for i in range(m, n)] for c in (0, 1))
+
+    def opened(h: str, ih: str) -> list[list[slice]]:
+        """The rotations left open at h, indexed by the flags of t (1) and,
+        nonoriented, of inverse(t) (2): the borders, and the tail halves'."""
+        cycles = (h, ih) if nonoriented else (h,)
+        borders = [
+            slice(2 * n * c + i, 2 * n * c + i + n)
+            for c, s in enumerate(cycles)
+            for i in range(c == 0, m)
+            if h.startswith(s[i:])
+        ]
+        return [borders, borders + in_t, borders + in_it, borders + in_t + in_it]
+
+    halves = {size: keyed(size) for size in {m, n - m}}
+    heads: dict[GroupElement, list[tuple[str, str, tuple[str, ...], list[list[slice]]]]] = {}
     for key, h, ih, g in halves[m]:
         if key > h:
-            heads.setdefault(g, []).append((h, ih, open_rotations(h)))
-    tails: dict[GroupElement, list[tuple[str, str, str]]] = {}
-    for key, t, it, g in sorted(halves[n - m]):
-        tails.setdefault(g, []).append((key, t, it))
+            prefixes = tuple(h[:i] for i in range(1, m))
+            heads.setdefault(g, []).append((h, ih, prefixes, opened(h, ih)))
+    tails: dict[GroupElement, list[tuple[str, str, str, GroupElement]]] = {}
+    for tail in sorted(halves[n - m]):
+        tails.setdefault(tail[3], []).append(tail)
     holds = lru_cache(maxsize=None)(_HAS_PENDANT[w])
     found: dict[str, GroupElement] = {}
     for gl, hs in heads.items():
@@ -327,10 +362,14 @@ def _pendant_words(n: int, w: int, category: str) -> dict[str, GroupElement]:
             joins = tails.get(gr, [])
             if not joins or joins[-1][0] <= least or not holds(g := gl * gr):
                 continue
-            for h, ih, rotations in hs:
-                for _, t, it in joins[bisect_right(joins, h, key=itemgetter(0)) :]:
+            for h, ih, prefixes, rotations in hs:
+                for _, t, it, _ in joins[bisect_right(joins, h, key=itemgetter(0)) :]:
                     x = h + t
-                    if x <= min(map((2 * x + 2 * (ih + it)).__getitem__, rotations)):
+                    open_ = rotations[
+                        (h in t or t.endswith(prefixes))
+                        + (nonoriented and 2 * (h in it or it.endswith(prefixes)))
+                    ]
+                    if not open_ or x <= min(map((2 * x + 2 * (ih + it)).__getitem__, open_)):
                         found[x] = g
     return found
 
@@ -390,18 +429,22 @@ def enumerate_classes(k: int, w: int, category: str = "nonoriented") -> Enumerat
         raise BudgetError(f"k = {k} is past the enumeration budget of k <= 2")
     start = time.perf_counter()
     found = _pendant_words(6 * k - w, w, category)
-    described: dict[GroupElement, list[str]] = {}  # each distinct monodromy's labels
-    reps = []
-    for word in sorted(found):
-        g = found[word]
-        labels = described.get(g)
-        if labels is None:
-            labels = described[g] = [label.describe() for label in _labels(g, w)]
-        reps.append((word, labels[0]))
-        # a second class (w = 2 only) is a pair orbit of its own unless the
-        # word's stabilizer carries class 0 onto it
-        if len(labels) == 2 and not _stabilizer_swaps(word, g, category):
-            reps.append((word, labels[1]))
+    if w < 2:  # every w <= 1 pendant word has the one label of its weight
+        label = _ONE_PENDANT[w].describe()
+        reps = [(word, label) for word in sorted(found)]
+    else:
+        described: dict[GroupElement, list[str]] = {}  # each distinct monodromy's labels
+        reps = []
+        for word in sorted(found):
+            g = found[word]
+            labels = described.get(g)
+            if labels is None:
+                labels = described[g] = [label.describe() for label in strong_class_labels(g)]
+            reps.append((word, labels[0]))
+            # a second class is a pair orbit of its own unless the word's
+            # stabilizer carries class 0 onto it
+            if len(labels) == 2 and not _stabilizer_swaps(word, g, category):
+                reps.append((word, labels[1]))
     return EnumerationResult(
         k=k,
         w=w,

@@ -433,6 +433,10 @@ def normal_form(g: GroupElement) -> SyllableWord:
     return SyllableWord(tuple(stack))
 
 
+# each syllable a normal form holds, as its power: a prefix product is one lookup per syllable
+_SYLLABLE_POWER = {_X1: X, _X2: _X_POWERS[2], _Y1: Y}
+
+
 # The classes without a cutting word: representative and abelian degree.
 _ELLIPTIC = {
     "identity": (IDENTITY, 0),
@@ -473,7 +477,7 @@ def _classify_full(g: GroupElement) -> tuple[ConjugacyClass, GroupElement]:
             tail = ((gen, merged),)
             break
     # g = u * evaluate(syl) * u^-1 from here on
-    u = product(_generator_power(*s) for s in syl[:i])
+    u = product(map(_SYLLABLE_POWER.__getitem__, syl[:i]))
     syl = list(syl[i:j] + tail)
 
     if len(syl) < 2:

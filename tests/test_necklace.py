@@ -4,7 +4,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from modtwist import cli, factorization
@@ -384,6 +384,41 @@ def test_orbit_minima_have_tail_keys_above_the_head(word, category):
     assert min(s[j : j + m] + _PAD for s in halves for j in range(len(s))) > head
     if category == "nonoriented":
         assert all(inverse(head)[i:] + _PAD > head for i in range(m))
+
+
+def _key(half, m, category):
+    """The least window of m + 1 letters of half + PAD (or of its inverse's,
+    if less) that starts in the half."""
+    halves = [half, inverse(half)] if category == "nonoriented" else [half]
+    return min((s + _PAD)[j : j + m + 1] for s in halves for j in range(len(s)))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(
+    st.integers(min_value=4, max_value=12),
+    st.sampled_from(["oriented", "nonoriented"]),
+    st.text(alphabet=STONES, min_size=6, max_size=6),
+    st.text(alphabet=STONES, min_size=6, max_size=6),
+)
+def test_only_flagged_tail_halves_open_rotations(n, category, head, tail):
+    # the lemma behind the join's rule: with key(h) > h and key(t) > h, a
+    # rotation of x = h + t (or, nonoriented, of y = inverse(h) + inverse(t))
+    # that starts in a tail half s is above x unless h occurs in s or s ends
+    # with a proper prefix of h.  This checks the lemma, not the flags that
+    # _pendant_words computes from it; the brute-force and pinned-digest
+    # tests of the enumeration guard those.
+    m = n // 2
+    head = min(orbit(head[:m], category))  # an orbit minimum: key(head) > head
+    tail = tail[: n - m]
+    assert _key(head, m, category) > head
+    assume(_key(tail, m, category) > head)
+    x = head + tail
+    prefixes = tuple(head[:i] for i in range(1, m))
+    cycles = [x, inverse(head) + inverse(tail)] if category == "nonoriented" else [x]
+    for c in cycles:
+        half = c[m:]
+        if not (head in half or half.endswith(prefixes)):
+            assert all((c + c)[i : i + n] > x for i in range(m, n)), c
 
 
 def _shifted_pair(word, fact):

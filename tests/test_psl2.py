@@ -353,6 +353,13 @@ def test_run_product_equals_evaluate(runs, long_run, at):
     assert psl2._run_product(word) == evaluate(word)
 
 
+def test_syllable_powers_are_the_generator_powers():
+    # _classify_full multiplies its peeled prefix through this table
+    for syllable, power in psl2._SYLLABLE_POWER.items():
+        assert power == psl2._generator_power(*syllable)
+    assert set(psl2._SYLLABLE_POWER) == set(normal_form(evaluate("L R^-2 L^3 R")).syllables)
+
+
 def test_normal_form_examples():
     assert normal_form(IDENTITY).syllables == ()
     assert normal_form(L).syllables == (("X", 1), ("Y", 1))
