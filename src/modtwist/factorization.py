@@ -172,7 +172,7 @@ class Analysis:
     def _pair(self, label: StrongClassLabel) -> Factorization:
         """The pair of the labelled class, conjugated to multiply to the element."""
         # g = h^-1 * rep * h, rep X = R L^-1, R^2 or evaluate(diagram.letters)
-        _, h = _classify_full(self.element)
+        _, h, _ = _classify_full(self.element)
         if label.kind != "axis":
             return pair(R, L.inverse() if label.kind == "full_group" else R).conjugated_by(h)
         diagram = self.cls.diagram
@@ -197,12 +197,14 @@ class Analysis:
         return matches[0]
 
 
-# The size covers the 1,600 distinct monodromies of a pass of the benchmark's
-# pendant_stream workload and the 859 (nonoriented) or 1,290 (oriented)
-# half-word products of the k = 2, w = 2 keyed join that pass the trace
-# test; the enumeration reads the canonical pairs of only 293 or 535 of
-# them, the monodromies of its orbit minima.  Records are immutable apart
-# from their lazily cached fields, and every query returns a fresh list.
+# The size covers the 410 elements a pass of the benchmark's pendant_stream
+# workload analyses (313 of its 1,600 distinct monodromies pass the trace
+# test, and the rest are monodromies of its shifted and inverted words) and
+# the 859 (nonoriented) or 1,290 (oriented) half-word products of the
+# k = 2, w = 2 keyed join that pass the trace test; the enumeration reads
+# the canonical pairs of only 293 or 535 of them, the monodromies of its
+# orbit minima.  Records are immutable apart from their lazily cached
+# fields, and every query returns a fresh list.
 @lru_cache(maxsize=4096)
 def analyze(g: GroupElement) -> Analysis:
     """The shared, memoized 2-factorization analysis of g."""

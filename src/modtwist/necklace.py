@@ -18,7 +18,7 @@ are (diagram, strong-class) pairs, and the pair orbits over a word orbit
 are read off the action of the orbit-minimal word's stabilizer on its
 classes (see _stabilizer_swaps); for w <= 1 every word carries the one
 label of its weight.  The filter joins the half-words over their distinct
-monodromies, deciding the condition once per distinct product; a head h
+monodromies, deciding the condition once per pair of them; a head h
 meets only the tails keyed above it, and an exact test on each joined
 word keeps the orbit minima (see _pendant_words).  The keys leave open
 only the rotations at a border of h and those in a tail half that holds
@@ -31,7 +31,6 @@ from __future__ import annotations
 import time
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
 from operator import itemgetter
 from typing import Optional
 
@@ -302,8 +301,8 @@ def _pendant_words(n: int, w: int, category: str) -> dict[str, GroupElement]:
     A head joins the tails of a monodromy keyed above it (bisect_right on
     the sorted keys); a pair of monodromies whose greatest tail key is not
     above its least head is skipped before its product.  The halves join
-    over distinct monodromies, deciding the condition once per distinct
-    product; for w = 0 the only partner is the inverse.  A joined x is kept
+    over distinct monodromies, deciding the condition once per pair of
+    them; for w = 0 the only partner is the inverse.  A joined x is kept
     iff it is no greater than the head's borders and the rotations that
     start in a flagged tail half, and with none of them open it is kept
     as is: exactly the orbit minima.
@@ -311,7 +310,6 @@ def _pendant_words(n: int, w: int, category: str) -> dict[str, GroupElement]:
     m = n // 2
     nonoriented = category == "nonoriented"
     cuts = [slice(j, j + m + 1) for j in range(n - m)]  # the key windows of s + PAD
-    shared: dict[GroupElement, GroupElement] = {}  # one object per distinct monodromy
 
     def keyed(size: int) -> list[tuple[str, str, str, GroupElement]]:
         """(key, s, inverse(s), monodromy(s)) for every stone word s of the size."""
@@ -321,7 +319,7 @@ def _pendant_words(n: int, w: int, category: str) -> dict[str, GroupElement]:
                 min(map((s + _PAD).__getitem__, windows)),
                 s,
                 s[::-1].translate(_INVERT_STONE),
-                shared.setdefault(g, g),
+                g,
             )
             for s, g in _stone_products(size)
         ]
@@ -354,13 +352,12 @@ def _pendant_words(n: int, w: int, category: str) -> dict[str, GroupElement]:
     tails: dict[GroupElement, list[tuple[str, str, str, GroupElement]]] = {}
     for tail in sorted(halves[n - m]):
         tails.setdefault(tail[3], []).append(tail)
-    holds = lru_cache(maxsize=None)(_HAS_PENDANT[w])
     found: dict[str, GroupElement] = {}
     for gl, hs in heads.items():
         least = min(hs)[0]
         for gr in [gl.inverse()] if w == 0 else tails:
             joins = tails.get(gr, [])
-            if not joins or joins[-1][0] <= least or not holds(g := gl * gr):
+            if not joins or joins[-1][0] <= least or not _HAS_PENDANT[w](g := gl * gr):
                 continue
             for h, ih, prefixes, rotations in hs:
                 for _, t, it, _ in joins[bisect_right(joins, h, key=itemgetter(0)) :]:

@@ -193,8 +193,9 @@ class TwistVector(tuple):
         return "TwistVector(p=%d, q=%d)" % self
 
 
-_X_SYLLABLES = frozenset({("X", 1), ("X", 2)})
-_Y_SYLLABLES = frozenset({("Y", 1)})
+_X1, _X2, _Y1 = ("X", 1), ("X", 2), ("Y", 1)  # the syllables every normal form shares
+_X_SYLLABLES = frozenset({_X1, _X2})
+_Y_SYLLABLES = frozenset({_Y1})
 
 
 @dataclass(frozen=True)
@@ -383,13 +384,9 @@ def parse_element(text: str) -> GroupElement:
 # 0.25 s (2-core VM, Python 3.11), all cyclic-word work being linear.
 QUOTIENT_SUM_CAP = 2**17
 
-_X1, _X2, _Y1 = ("X", 1), ("X", 2), ("Y", 1)  # the syllables every normal form shares
 
-
-# one peel per element, under the memo size of _classify_full and for its reason
-@lru_cache(maxsize=4096)
-def normal_form(g: GroupElement) -> SyllableWord:
-    """The unique reduced alternating word in Z3 * Z2 evaluating to g.
+def _peel(g: GroupElement) -> SyllableWord:
+    """The normal form of g, for _classify_full's record to keep.
 
     Works by the continued-fraction peeling g = L^(q1) Y L^(q2) Y ... L^(qk)
     (Euclidean algorithm on the first column), L = XY and L^-1 = Y X^2.
@@ -453,18 +450,21 @@ def _cutting_word_class(diagram: CyclicDiagram) -> ConjugacyClass:
     return ConjugacyClass("hyperbolic" if both else "parabolic", diagram)
 
 
-# One normal form and one conjugator per element serve every class query:
-# the public normal_form and this record each keep one entry per element,
-# and this record reads the normal form through normal_form's memo.  The
-# size covers the 1,600 distinct monodromies of a pass of the
-# pendant_stream benchmark workload and the 2,912 elements the k = 2, w = 2
-# enumeration classifies (its half-word products that pass the trace test);
-# the results are immutable, so sharing them is safe.
+# The one per-element memo of psl2: one peel, one class and one conjugator
+# per element serve every class query and the public normal form.  The size
+# covers the 410 elements a pass of the pendant_stream benchmark workload
+# sends here (313 of its 1,600 distinct monodromies pass the trace test, and
+# the rest are monodromies of its shifted and inverted words) and the 859
+# (nonoriented) or 1,290 (oriented) elements the k = 2, w = 2 enumeration
+# classifies; a fresh_queries pass sends 800 elements, each then read about
+# 5.5 times more.  The results are immutable, so sharing them is safe.
 @lru_cache(maxsize=4096)
-def _classify_full(g: GroupElement) -> tuple[ConjugacyClass, GroupElement]:
-    """(cls, h) with g = h^-1 * rep * h exactly, rep the identity, Y, X or X^2
-    (_ELLIPTIC) or else evaluate(cls.diagram.letters)."""
-    syl = normal_form(g).syllables
+def _classify_full(g: GroupElement) -> tuple[ConjugacyClass, GroupElement, SyllableWord]:
+    """(cls, h, nf) with nf the normal form of g and g = h^-1 * rep * h
+    exactly, rep the identity, Y, X or X^2 (_ELLIPTIC) or else
+    evaluate(cls.diagram.letters)."""
+    nf = _peel(g)
+    syl = nf.syllables
     # peel syl[i] and syl[j - 1] off both ends while they come from one
     # factor; a nonzero merged syllable ends the reduction, since the
     # syllable after syl[i] comes from the other factor
@@ -481,9 +481,9 @@ def _classify_full(g: GroupElement) -> tuple[ConjugacyClass, GroupElement]:
     syl = list(syl[i:j] + tail)
 
     if len(syl) < 2:
-        rep = product(_generator_power(*s) for s in syl)
+        rep = product(map(_SYLLABLE_POWER.__getitem__, syl))
         kind = next(k for k, (e, _) in _ELLIPTIC.items() if e == rep)
-        return ConjugacyClass(kind), u.inverse()
+        return ConjugacyClass(kind), u.inverse(), nf
 
     if syl[0][0] == "Y":
         # rotate one syllable so the word starts in the Z3 factor
@@ -495,7 +495,7 @@ def _classify_full(g: GroupElement) -> tuple[ConjugacyClass, GroupElement]:
     cls = _cutting_word_class(CyclicDiagram(letters))
     r = (letters + letters).index(cls.diagram.letters)
     # evaluate(letters) = p * evaluate(canon) * p^-1 for p = evaluate(letters[:r])
-    return cls, (u * _run_product(letters[:r])).inverse()
+    return cls, (u * _run_product(letters[:r])).inverse(), nf
 
 
 def classify(g: GroupElement) -> ConjugacyClass:
@@ -503,10 +503,19 @@ def classify(g: GroupElement) -> ConjugacyClass:
     return _classify_full(g)[0]
 
 
+def normal_form(g: GroupElement) -> SyllableWord:
+    """The unique reduced alternating word in Z3 * Z2 evaluating to g.
+
+    Read off the class record, so classify and normal_form peel g once.
+    Raises BudgetError when the peel exceeds QUOTIENT_SUM_CAP L-steps.
+    """
+    return _classify_full(g)[2]
+
+
 def cutting_conjugator(g: GroupElement) -> tuple[GroupElement, str]:
     """(h, w) with w the canonical rotation of the cutting word and
     g = h^-1 * evaluate(w) * h exactly.  Parabolic or hyperbolic g only."""
-    cls, h = _classify_full(g)
+    cls, h, _ = _classify_full(g)
     if cls.diagram is None:
         raise DomainError(f"{cls.kind} element has no cutting word")
     return h, cls.diagram.letters
@@ -557,7 +566,7 @@ def is_real_element(g: GroupElement) -> bool:
 
 def primitive_root(g: GroupElement) -> tuple[GroupElement, int]:
     """(h, n) with g = h^n, n maximal.  Parabolic or hyperbolic g only."""
-    cls, h = _classify_full(g)
+    cls, h, _ = _classify_full(g)
     if cls.diagram is None:
         raise DomainError(f"primitive root undefined for {cls.kind} element")
     canon = cls.diagram.letters

@@ -6,7 +6,6 @@ from modtwist import factorization, mcurve, psl2
 def _clear_memos():
     factorization.analyze.cache_clear()
     psl2._classify_full.cache_clear()
-    psl2.normal_form.cache_clear()
     mcurve._cutting_diagram.cache_clear()
 
 

@@ -42,12 +42,10 @@ def rotations(monkeypatch):
         if name.startswith("modtwist") and getattr(module, "canonical_rotation", None) is original:
             monkeypatch.setattr(module, "canonical_rotation", counted)
     psl2._classify_full.cache_clear()
-    psl2.normal_form.cache_clear()
     factorization.analyze.cache_clear()
     mcurve._cutting_diagram.cache_clear()
     yield words
     psl2._classify_full.cache_clear()
-    psl2.normal_form.cache_clear()
     factorization.analyze.cache_clear()
     mcurve._cutting_diagram.cache_clear()
 
@@ -72,12 +70,22 @@ def test_classify_and_factorize_rotate_the_cutting_word_once(rotations, capsys, 
 @pytest.mark.parametrize("text", HYPERBOLIC + ["L^4", "R^3", "X", "Y", "", "[[0,1],[-1,5]]"])
 def test_classify_then_normal_form_peels_the_element_once(text):
     g = psl2.parse_element(text)
-    classify(g)
-    assert psl2.normal_form.cache_info().misses == 1
-    # the public normal form reads the peel that classify made
+    cls = classify(g)
+    # the public normal form is the one the class record holds
     assert psl2.normal_form(g) is psl2.normal_form(g)
+    # the rest of the classify and factorize payloads read the same record
+    # and one analysis
+    psl2.is_real_element(g)
     psl2.abelian_degree(g)
-    assert psl2.normal_form.cache_info().misses == 1
+    if cls.diagram is not None:
+        psl2.primitive_root(g)
+    factorization.count_classes(g)
+    factorization.canonical_2factorizations(g)
+    factorization.strong_class_labels(g)
+    factorization.factorization_reality(g)
+    factorization.exists_2factorization(g)
+    assert psl2._classify_full.cache_info().misses == 1
+    assert factorization.analyze.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("word", ZIGZAG_FREE)

@@ -427,7 +427,6 @@ def test_cold_and_warm_memos_agree():
     for g in products:
         analyze.cache_clear()
         psl2._classify_full.cache_clear()
-        psl2.normal_form.cache_clear()
         cold[g] = _answers(g)
     for g in products:
         assert _answers(g) == cold[g]

@@ -8,8 +8,10 @@ from importlib import import_module
 from pathlib import Path
 
 import pytest
+from conftest import _clear_memos
 
 import modtwist
+from modtwist import cli
 
 
 def test_import_loads_no_numpy():
@@ -67,6 +69,53 @@ def test_no_unused_imports_in_the_package():
 def _modules():
     names = sorted(p.stem for p in Path(modtwist.__file__).parent.glob("*.py"))
     return [import_module(f"modtwist.{name}") for name in names if name != "__init__"]
+
+
+# every lru_cache of the package; all but the per-modulus one are keyed by
+# an element or a word, and conftest's _clear_memos empties those
+MEMOS = {
+    "modtwist.psl2._classify_full",
+    "modtwist.factorization.analyze",
+    "modtwist.mcurve._cutting_diagram",
+    "modtwist.obstructions._twist_class_mod",
+}
+PER_MODULUS = {"modtwist.obstructions._twist_class_mod"}
+
+
+def _memos():
+    return {
+        f"{module.__name__}.{name}": value
+        for module in _modules()
+        for name, value in vars(module).items()
+        if hasattr(value, "cache_info") and value.__module__ == module.__name__
+    }
+
+
+def test_the_package_keeps_exactly_its_memos():
+    assert set(_memos()) == MEMOS
+    # each lru_cache decorates a module-level function, so no call builds one
+    for path in sorted(Path(modtwist.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        decorating = {
+            id(getattr(d, "func", d))
+            for node in tree.body
+            if isinstance(node, ast.FunctionDef)
+            for d in node.decorator_list
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and node.id == "lru_cache":
+                assert id(node) in decorating, f"{path.name}:{node.lineno}"
+
+
+def test_clear_memos_empties_every_per_element_memo(capsys):
+    assert cli.main(["classify", "R^3 L R^2"]) == 0
+    assert cli.main(["factorize", "R^3 L R^2", "--check-obstructions"]) == 0
+    assert cli.main(["mcurve", "*ud*"]) == 0
+    capsys.readouterr()
+    memos = _memos()
+    assert all(memo.cache_info().currsize for memo in memos.values())
+    _clear_memos()
+    assert {name for name, memo in memos.items() if memo.cache_info().currsize} == PER_MODULUS
 
 
 def test_every_module_declares_its_public_names():

@@ -354,7 +354,8 @@ def test_run_product_equals_evaluate(runs, long_run, at):
 
 
 def test_syllable_powers_are_the_generator_powers():
-    # _classify_full multiplies its peeled prefix through this table
+    # _classify_full multiplies its peeled prefix and its elliptic remainder
+    # through this table
     for syllable, power in psl2._SYLLABLE_POWER.items():
         assert power == psl2._generator_power(*syllable)
     assert set(psl2._SYLLABLE_POWER) == set(normal_form(evaluate("L R^-2 L^3 R")).syllables)
@@ -443,12 +444,12 @@ def test_conjugator_to_rep():
         ("", IDENTITY),
     ]:
         g = evaluate(word)
-        cls, h = psl2._classify_full(g)
+        cls, h, _ = psl2._classify_full(g)
         assert rep(cls) == expected_rep
         assert h.inverse() * rep(cls) * h == g
     kinds = set()
     for g in _random_elements(100, seed=13):
-        cls, h = psl2._classify_full(g)
+        cls, h, _ = psl2._classify_full(g)
         kinds.add(cls.kind)
         assert h.inverse() * rep(cls) * h == g
         if cls.diagram is not None:
