@@ -23,7 +23,8 @@ meets only the tails keyed above it, and an exact test on each joined
 word keeps the orbit minima (see _pendant_words).  The keys leave open
 only the rotations at a border of h and those in a tail half that holds
 h or ends with a proper prefix of h, so the test compares each joined
-word with those alone.
+word with those alone; a tail ending in h[:i] where h[i:] is no border of
+h drops the word at once, as the rotation from there is below it.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from __future__ import annotations
 import time
 from bisect import bisect_right
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Optional
 
 from .diagrams import canonical_rotation
@@ -265,11 +265,23 @@ _HAS_PENDANT = {
 _ONE_PENDANT = {0: StrongClassLabel("empty"), 1: StrongClassLabel("single_twist")}
 
 
-def _stone_products(length: int) -> list[tuple[str, GroupElement]]:
-    out = [("", IDENTITY)]
+def _stone_histograms(length: int) -> list[dict[GroupElement, list[str]]]:
+    """[H_0, ..., H_length]: H_d groups the stone words of length d by
+    their monodromy.
+
+    A dynamic programme over distinct monodromies: each level multiplies
+    each distinct element of the last by each stone once, so H_d holds one
+    GroupElement per distinct element: F(2d + 3) - 1 of them, observed and
+    not proven (609 for the 4,096 words of length 6).
+    """
+    levels = [{IDENTITY: [""]}]
     for _ in range(length):
-        out = [(w + s, g * STONE_MONODROMY[s]) for w, g in out for s in STONES]
-    return out
+        grown: dict[GroupElement, list[str]] = {}
+        for g, words in levels[-1].items():
+            for s, gs in STONE_MONODROMY.items():
+                grown.setdefault(g * gs, []).extend([w + s for w in words])
+        levels.append(grown)
+    return levels
 
 
 def _pendant_words(n: int, w: int, category: str) -> dict[str, GroupElement]:
@@ -298,76 +310,103 @@ def _pendant_words(n: int, w: int, category: str) -> dict[str, GroupElement]:
     ends with a proper prefix of h.  A tail half passing neither C-level
     test opens none of its rotations.
 
-    A head joins the tails of a monodromy keyed above it (bisect_right on
-    the sorted keys); a pair of monodromies whose greatest tail key is not
-    above its least head is skipped before its product.  The halves join
-    over distinct monodromies, deciding the condition once per pair of
-    them; for w = 0 the only partner is the inverse.  A joined x is kept
-    iff it is no greater than the head's borders and the rotations that
-    start in a flagged tail half, and with none of them open it is kept
-    as is: exactly the orbit minima.
+    One such prefix rejects x outright.  If t ends with h[:i] (0 < i < m)
+    and h[i:] is not a border (a suffix of h that is also a prefix of
+    it), the rotation from that suffix of t reads h[:i] + h + ..., and x
+    reads h[:i] + h[i:] + ...; key(h) > h gives h[i:] + PAD > h, so h[i:]
+    is strictly above h[:m - i] and the rotation is below x.
+
+    The halves come from the histogram of their monodromies.  A head
+    joins the tails of a monodromy keyed above it (bisect_right on the
+    sorted keys); a pair of monodromies whose greatest tail key is not
+    above its least head is skipped before its product, and the
+    condition is decided once per pair of them; for w = 0 the only
+    partner is the inverse.  A joined x whose tail ends in such a
+    non-border prefix is dropped; otherwise it is kept iff it is no
+    greater than the head's borders and the rotations that start in a
+    flagged tail half, and with none of them open it is kept as is:
+    exactly the orbit minima.
     """
     m = n // 2
     nonoriented = category == "nonoriented"
     cuts = [slice(j, j + m + 1) for j in range(n - m)]  # the key windows of s + PAD
+    levels = _stone_histograms(n - m)
 
     def keyed(size: int) -> list[tuple[str, str, str, GroupElement]]:
-        """(key, s, inverse(s), monodromy(s)) for every stone word s of the size."""
+        """(key, s, inverse(s), monodromy(s)) for every stone word s of the
+        size; oriented, which reads no inverse, "" stands for inverse(s)."""
         windows = cuts[:size]
         table = [
-            (
-                min(map((s + _PAD).__getitem__, windows)),
-                s,
-                s[::-1].translate(_INVERT_STONE),
-                g,
-            )
-            for s, g in _stone_products(size)
+            (min(map((s + _PAD).__getitem__, windows)), s, "", g)
+            for g, words in levels[size].items()
+            for s in words
         ]
         if not nonoriented:
             return table
         key_of = {s: key for key, s, _, _ in table}
-        return [(min(key, key_of[inv]), s, inv, g) for key, s, inv, g in table]
+        return [
+            (min(key, key_of[inv]), s, inv, g)
+            for key, s, _, g in table
+            for inv in [s[::-1].translate(_INVERT_STONE)]
+        ]
 
     # the rotations of x + x + y + y (oriented, x + x) that start in t, and in inverse(t)
     in_t, in_it = ([slice(2 * n * c + i, 2 * n * c + i + n) for i in range(m, n)] for c in (0, 1))
 
-    def opened(h: str, ih: str) -> list[list[slice]]:
-        """The rotations left open at h, indexed by the flags of t (1) and,
+    def head(h: str, ih: str) -> tuple[str, str, tuple, tuple, tuple, list[list[slice]]]:
+        """The row of head h: h, inverse(h), its proper prefixes, those h[:i]
+        that reject x (h[i:] is no border) and those that flag t, and the
+        rotations left open at h, indexed by the flags of t (1) and,
         nonoriented, of inverse(t) (2): the borders, and the tail halves'."""
-        cycles = (h, ih) if nonoriented else (h,)
-        borders = [
-            slice(2 * n * c + i, 2 * n * c + i + n)
-            for c, s in enumerate(cycles)
-            for i in range(c == 0, m)
-            if h.startswith(s[i:])
-        ]
-        return [borders, borders + in_t, borders + in_it, borders + in_t + in_it]
+        kill, keep, borders = [], [], []
+        for i in range(1, m):
+            if h.startswith(h[i:]):
+                keep.append(h[:i])
+                borders.append(slice(i, i + n))
+            else:
+                kill.append(h[:i])
+        if nonoriented:
+            borders += [slice(2 * n + i, 3 * n + i) for i in range(m) if h.startswith(ih[i:])]
+        kill, keep = tuple(kill), tuple(keep)
+        rotations = [borders, borders + in_t, borders + in_it, borders + in_t + in_it]
+        return h, ih, kill + keep, kill, keep, rotations
 
     halves = {size: keyed(size) for size in {m, n - m}}
-    heads: dict[GroupElement, list[tuple[str, str, tuple[str, ...], list[list[slice]]]]] = {}
+    heads: dict[GroupElement, list[tuple]] = {}
     for key, h, ih, g in halves[m]:
         if key > h:
-            prefixes = tuple(h[:i] for i in range(1, m))
-            heads.setdefault(g, []).append((h, ih, prefixes, opened(h, ih)))
-    tails: dict[GroupElement, list[tuple[str, str, str, GroupElement]]] = {}
-    for tail in sorted(halves[n - m]):
-        tails.setdefault(tail[3], []).append(tail)
+            heads.setdefault(g, []).append(head(h, ih))
+    tails: dict[GroupElement, tuple[list[str], list]] = {}
+    for key, t, it, g in sorted(halves[n - m]):
+        keys, joins = tails.setdefault(g, ([], []))
+        keys.append(key)
+        joins.append((t, it) if nonoriented else t)
     found: dict[str, GroupElement] = {}
     for gl, hs in heads.items():
         least = min(hs)[0]
         for gr in [gl.inverse()] if w == 0 else tails:
-            joins = tails.get(gr, [])
-            if not joins or joins[-1][0] <= least or not _HAS_PENDANT[w](g := gl * gr):
+            keys, joins = tails.get(gr, ((), ()))
+            if not keys or keys[-1] <= least or not _HAS_PENDANT[w](g := gl * gr):
                 continue
-            for h, ih, prefixes, rotations in hs:
-                for _, t, it, _ in joins[bisect_right(joins, h, key=itemgetter(0)) :]:
-                    x = h + t
-                    open_ = rotations[
-                        (h in t or t.endswith(prefixes))
-                        + (nonoriented and 2 * (h in it or it.endswith(prefixes)))
-                    ]
-                    if not open_ or x <= min(map((2 * x + 2 * (ih + it)).__getitem__, open_)):
-                        found[x] = g
+            for h, ih, prefixes, kill, keep, rotations in hs:
+                if nonoriented:
+                    for t, it in joins[bisect_right(keys, h) :]:
+                        if t.endswith(kill):
+                            continue
+                        x = h + t
+                        open_ = rotations[
+                            (h in t or t.endswith(keep)) + 2 * (h in it or it.endswith(prefixes))
+                        ]
+                        if not open_ or x <= min(map((2 * x + 2 * (ih + it)).__getitem__, open_)):
+                            found[x] = g
+                else:
+                    for t in joins[bisect_right(keys, h) :]:
+                        if t.endswith(kill):
+                            continue
+                        x = h + t
+                        open_ = rotations[h in t or t.endswith(keep)]
+                        if not open_ or x <= min(map((x + x).__getitem__, open_)):
+                            found[x] = g
     return found
 
 

@@ -18,6 +18,8 @@ from modtwist.factorization import (
 from modtwist.necklace import (
     _PAD,
     CATEGORIES,
+    _pendant_words,
+    _stone_histograms,
     canonicalize,
     dual,
     enumerate_classes,
@@ -419,6 +421,64 @@ def test_only_flagged_tail_halves_open_rotations(n, category, head, tail):
         half = c[m:]
         if not (head in half or half.endswith(prefixes)):
             assert all((c + c)[i : i + n] > x for i in range(m, n)), c
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(
+    st.integers(min_value=4, max_value=12),
+    st.sampled_from(["oriented", "nonoriented"]),
+    st.text(alphabet=STONES, min_size=6, max_size=6),
+    st.text(alphabet=STONES, min_size=6, max_size=6),
+)
+def test_a_tail_ending_in_a_non_border_prefix_undercuts_the_join(n, category, head, tail):
+    # the lemma behind the join's reject rule: with key(h) > h and
+    # key(t) > h, if t ends with h[:i] (0 < i < m) and h[i:] is not a prefix
+    # of h, the rotation of x = h + t that starts at that suffix of t is
+    # strictly below x.  Each such i gets the tail whose end is h[:i].
+    m = n // 2
+    head = min(orbit(head[:m], category))  # an orbit minimum: key(head) > head
+    assert _key(head, m, category) > head
+    checked = 0
+    for i in range(1, m):
+        t = tail[: n - m - i] + head[:i]
+        if head.startswith(head[i:]) or _key(t, m, category) <= head:
+            continue
+        x = head + t
+        assert (x + x)[n - i : 2 * n - i] < x, (x, i)
+        checked += 1
+    assume(checked)
+
+
+def test_stone_histograms_group_every_word_by_its_monodromy():
+    # H_d holds F(2d + 3) - 1 distinct monodromies (1, 4, 12, 33, ...) and
+    # all 4^d words
+    fib = [0, 1]
+    while len(fib) < 22:
+        fib.append(fib[-2] + fib[-1])
+    levels = _stone_histograms(9)
+    assert levels[0] == {IDENTITY: [""]}
+    for d, level in enumerate(levels):
+        assert len(level) == fib[2 * d + 3] - 1, d
+        assert sum(map(len, level.values())) == 4**d, d
+        if 1 <= d <= 4:
+            words = sorted(word for group in level.values() for word in group)
+            assert words == sorted(map("".join, itertools.product(STONES, repeat=d)))
+            for g, group in level.items():
+                assert all(monodromy(word) == g for word in group), d
+
+
+@pytest.mark.parametrize("category", ["nonoriented", "oriented"])
+@pytest.mark.parametrize("w", [0, 1, 2])
+def test_pendant_words_map_each_word_to_its_monodromy(w, category):
+    # the --out digests pin the words, not the monodromies the dict carries:
+    # every word at k = 1, and 500 seeded words at k = 2
+    for k in (1, 2):
+        found = _pendant_words(6 * k - w, w, category)
+        words = sorted(found)
+        if k == 2:
+            words = random.Random(21).sample(words, 500)
+        for word in words:
+            assert found[word] == monodromy(word), (k, word)
 
 
 def _shifted_pair(word, fact):
