@@ -20,11 +20,11 @@ classes (see _stabilizer_swaps); for w <= 1 every word carries the one
 label of its weight.  The filter joins the half-words over their distinct
 monodromies, deciding the condition once per pair of them; a head h
 meets only the tails keyed above it, and an exact test on each joined
-word keeps the orbit minima (see _pendant_words).  The keys leave open
-only the rotations at a border of h and those in a tail half that holds
-h or ends with a proper prefix of h, so the test compares each joined
-word with those alone; a tail ending in h[:i] where h[i:] is no border of
-h drops the word at once, as the rotation from there is below it.
+word keeps the orbit minima (see _pendant_words).  The keys, least padded
+windows by a suffix recursion, leave open only the rotations at a border
+of h and those in a tail half that holds h or ends with a proper prefix
+h[:i] of h; where the h (or inverse(h)) that follows such an end reads
+below h[i:], the rotation from there undercuts the word, which is dropped.
 """
 
 from __future__ import annotations
@@ -284,6 +284,25 @@ def _stone_histograms(length: int) -> list[dict[GroupElement, list[str]]]:
     return levels
 
 
+def _half_keys(levels: list, m: int, nonoriented: bool) -> tuple[dict[str, str], dict[str, str]]:
+    """(key, inv) on the sizes m and len(levels) - 1 of _stone_histograms'
+    levels: key[s] is the least window of m + 1 letters of s + PAD that
+    starts in s (nonoriented, or in inverse(s), if less), and inv[s] is
+    inverse(s), nonoriented.  By the suffix recursion K("") = PAD and
+    K(c + u) = min(c + u + PAD, K(u)), the least padded suffix: a size-m
+    half's key; a size-(m + 1) tail's windows are t and those of t[1:]."""
+    key = {"": _PAD}
+    for level in levels[1 : m + 1]:
+        key.update({s: min(s + _PAD, key[s[1:]]) for ws in level.values() for s in ws})
+    halves = levels[m:]
+    if len(halves) > 1:
+        key.update({t: min(t, key[t[1:]]) for ws in halves[1].values() for t in ws})
+    if not nonoriented:
+        return key, {}
+    inv = {s: s[::-1].translate(_INVERT_STONE) for lv in halves for ws in lv.values() for s in ws}
+    return {s: min(key[s], key[i]) for s, i in inv.items()}, inv
+
+
 def _pendant_words(n: int, w: int, category: str) -> dict[str, GroupElement]:
     """The orbit minima among stone words of length n with a w-pendant,
     each mapped to its monodromy.
@@ -310,97 +329,87 @@ def _pendant_words(n: int, w: int, category: str) -> dict[str, GroupElement]:
     ends with a proper prefix of h.  A tail half passing neither C-level
     test opens none of its rotations.
 
-    One such prefix rejects x outright.  If t ends with h[:i] (0 < i < m)
-    and h[i:] is not a border (a suffix of h that is also a prefix of
-    it), the rotation from that suffix of t reads h[:i] + h + ..., and x
-    reads h[:i] + h[i:] + ...; key(h) > h gives h[i:] + PAD > h, so h[i:]
-    is strictly above h[:m - i] and the rotation is below x.
+    Such a prefix decides its rotation outright.  If a tail half s ends
+    with h[:i] (0 < i < m), the rotation from there reads h[:i] + c + ...,
+    with c = h after t and c = inverse(h) after inverse(t), while x reads
+    h[:i] + h[i:] + ...: if c[:m - i] < h[i:], it is below x and x is
+    dropped; if c[:m - i] > h[i:], it is above x and flags nothing.  After
+    t, key(h) > h gives h[i:] + PAD > h, so h[:m - i] < h[i:] unless h[i:]
+    is a border (a suffix of h that is also a prefix of it).
 
-    The halves come from the histogram of their monodromies.  A head
-    joins the tails of a monodromy keyed above it (bisect_right on the
-    sorted keys); a pair of monodromies whose greatest tail key is not
-    above its least head is skipped before its product, and the
-    condition is decided once per pair of them; for w = 0 the only
-    partner is the inverse.  A joined x whose tail ends in such a
-    non-border prefix is dropped; otherwise it is kept iff it is no
-    greater than the head's borders and the rotations that start in a
-    flagged tail half, and with none of them open it is kept as is:
-    exactly the orbit minima.
+    The halves come from the histogram of their monodromies, their keys
+    from _half_keys.  A head joins the tails of a monodromy keyed above it
+    (bisect_right on the keys, sorted when a head group first reaches it);
+    a pair of monodromies whose greatest tail key is not above its least
+    head is skipped before its product, and the condition is decided once
+    per pair of them; for w = 0 the only partner is the inverse.  A head
+    group's rows are built once it passes that guard.  A joined x not
+    dropped is kept iff it is no greater than the head's borders and the
+    rotations that start in a flagged tail half, and with none of them
+    open it is kept as is: exactly the orbit minima.
     """
     m = n // 2
     nonoriented = category == "nonoriented"
-    cuts = [slice(j, j + m + 1) for j in range(n - m)]  # the key windows of s + PAD
     levels = _stone_histograms(n - m)
-
-    def keyed(size: int) -> list[tuple[str, str, str, GroupElement]]:
-        """(key, s, inverse(s), monodromy(s)) for every stone word s of the
-        size; oriented, which reads no inverse, "" stands for inverse(s)."""
-        windows = cuts[:size]
-        table = [
-            (min(map((s + _PAD).__getitem__, windows)), s, "", g)
-            for g, words in levels[size].items()
-            for s in words
-        ]
-        if not nonoriented:
-            return table
-        key_of = {s: key for key, s, _, _ in table}
-        return [
-            (min(key, key_of[inv]), s, inv, g)
-            for key, s, _, g in table
-            for inv in [s[::-1].translate(_INVERT_STONE)]
-        ]
+    key, inv = _half_keys(levels, m, nonoriented)
 
     # the rotations of x + x + y + y (oriented, x + x) that start in t, and in inverse(t)
     in_t, in_it = ([slice(2 * n * c + i, 2 * n * c + i + n) for i in range(m, n)] for c in (0, 1))
 
-    def head(h: str, ih: str) -> tuple[str, str, tuple, tuple, tuple, list[list[slice]]]:
-        """The row of head h: h, inverse(h), its proper prefixes, those h[:i]
-        that reject x (h[i:] is no border) and those that flag t, and the
+    def head(h: str) -> tuple:
+        """The row of head h: h, inverse(h), the prefixes h[:i] whose end in
+        t drops x and those that flag t, the same for inverse(t), and the
         rotations left open at h, indexed by the flags of t (1) and,
         nonoriented, of inverse(t) (2): the borders, and the tail halves'."""
-        kill, keep, borders = [], [], []
+        ih = inv[h] if nonoriented else ""
+        kill, keep, ikill, ikeep, borders = [], [], [], [], []
         for i in range(1, m):
-            if h.startswith(h[i:]):
+            if h.startswith(r := h[i:]):  # the h after t reads h[:m - i] = h[i:]
                 keep.append(h[:i])
                 borders.append(slice(i, i + n))
-            else:
+            else:  # key(h) > h: h[:m - i] < h[i:]
                 kill.append(h[:i])
+            if nonoriented and ih[: m - i] <= r:
+                (ikill if ih[: m - i] < r else ikeep).append(h[:i])
         if nonoriented:
             borders += [slice(2 * n + i, 3 * n + i) for i in range(m) if h.startswith(ih[i:])]
-        kill, keep = tuple(kill), tuple(keep)
         rotations = [borders, borders + in_t, borders + in_it, borders + in_t + in_it]
-        return h, ih, kill + keep, kill, keep, rotations
+        return h, ih, tuple(kill), tuple(keep), tuple(ikill), tuple(ikeep), rotations
 
-    halves = {size: keyed(size) for size in {m, n - m}}
-    heads: dict[GroupElement, list[tuple]] = {}
-    for key, h, ih, g in halves[m]:
-        if key > h:
-            heads.setdefault(g, []).append(head(h, ih))
-    tails: dict[GroupElement, tuple[list[str], list]] = {}
-    for key, t, it, g in sorted(halves[n - m]):
-        keys, joins = tails.setdefault(g, ([], []))
-        keys.append(key)
-        joins.append((t, it) if nonoriented else t)
+    tails = levels[-1]
+
+    def table(gr: GroupElement) -> tuple[list[str], list[str], list[str]]:
+        """(keys, tails, inverse tails; oriented, the tails) of gr, by key."""
+        ts = sorted(tails.get(gr, ()), key=key.__getitem__)
+        its = list(map(inv.__getitem__, ts)) if nonoriented else ts
+        return list(map(key.__getitem__, ts)), ts, its
+
+    # w = 0 meets each tail monodromy once, from its inverse; w > 0, all of them
+    every = None if w == 0 else [(gr, table(gr)) for gr in tails]
     found: dict[str, GroupElement] = {}
-    for gl, hs in heads.items():
-        least = min(hs)[0]
-        for gr in [gl.inverse()] if w == 0 else tails:
-            keys, joins = tails.get(gr, ((), ()))
+    for gl, ws in levels[m].items():
+        if not (hs := [h for h in ws if key[h] > h]):
+            continue
+        least, rows = min(hs), None
+        for gr, (keys, ts, its) in [(gi := gl.inverse(), table(gi))] if every is None else every:
             if not keys or keys[-1] <= least or not _HAS_PENDANT[w](g := gl * gr):
                 continue
-            for h, ih, prefixes, kill, keep, rotations in hs:
+            if rows is None:
+                rows = list(map(head, hs))
+            for h, ih, kill, keep, ikill, ikeep, rotations in rows:
+                lo = bisect_right(keys, h)
                 if nonoriented:
-                    for t, it in joins[bisect_right(keys, h) :]:
-                        if t.endswith(kill):
+                    for t, it in zip(ts[lo:], its[lo:]):
+                        if t.endswith(kill) or it.endswith(ikill):
                             continue
                         x = h + t
                         open_ = rotations[
-                            (h in t or t.endswith(keep)) + 2 * (h in it or it.endswith(prefixes))
+                            (h in t or t.endswith(keep)) + 2 * (h in it or it.endswith(ikeep))
                         ]
                         if not open_ or x <= min(map((2 * x + 2 * (ih + it)).__getitem__, open_)):
                             found[x] = g
                 else:
-                    for t in joins[bisect_right(keys, h) :]:
+                    for t in ts[lo:]:
                         if t.endswith(kill):
                             continue
                         x = h + t

@@ -18,6 +18,7 @@ from modtwist.factorization import (
 from modtwist.necklace import (
     _PAD,
     CATEGORIES,
+    _half_keys,
     _pendant_words,
     _stone_histograms,
     canonicalize,
@@ -449,6 +450,53 @@ def test_a_tail_ending_in_a_non_border_prefix_undercuts_the_join(n, category, he
     assume(checked)
 
 
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(
+    st.integers(min_value=4, max_value=12),
+    st.text(alphabet=STONES, min_size=6, max_size=6),
+    st.text(alphabet=STONES, min_size=6, max_size=6),
+)
+def test_an_inverse_tail_ending_in_a_prefix_is_decided_by_the_inverse_head(n, head, tail):
+    # the lemma behind the join's inverse-tail rule: if inverse(t) ends with
+    # h[:i] (0 < i < m), the rotation of y = inverse(h) + inverse(t) from
+    # that suffix reads h[:i] + inverse(h) + ..., and x = h + t reads
+    # h[:i] + h[i:] + ...; so it is strictly below x when inverse(h)[:m - i]
+    # is below h[i:], and strictly above it when above.  Each i gets the
+    # tail whose inverse ends with h[:i].
+    m = n // 2
+    head = min(orbit(head[:m], "nonoriented"))
+    decided = 0
+    for i in range(1, m):
+        it = tail[: n - m - i] + head[:i]
+        x, y = head + inverse(it), inverse(head) + it
+        rotation = (y + y)[n - i : 2 * n - i]
+        if inverse(head)[: m - i] < head[i:]:
+            assert rotation < x, (x, i)
+        elif inverse(head)[: m - i] > head[i:]:
+            assert rotation > x, (x, i)
+        else:
+            continue
+        decided += 1
+    assume(decided)
+
+
+@pytest.mark.parametrize("category", ["nonoriented", "oriented"])
+def test_half_keys_are_the_least_padded_windows(category):
+    # the suffix recursion gives _key on every stone word of length 1-7: as
+    # a size-m half (the heads', and even n's tails), and as a size-(m + 1)
+    # tail of odd n
+    nonoriented = category == "nonoriented"
+    levels = _stone_histograms(7)
+    for m in range(1, 8):
+        for size in (m, m + 1) if m < 7 else (m,):
+            key, inv = _half_keys(levels[: size + 1], m, nonoriented)
+            for words in levels[size].values():
+                for word in words:
+                    assert key[word] == _key(word, m, category), (m, word)
+                    if nonoriented:
+                        assert inv[word] == inverse(word)
+
 def test_stone_histograms_group_every_word_by_its_monodromy():
     # H_d holds F(2d + 3) - 1 distinct monodromies (1, 4, 12, 33, ...) and
     # all 4^d words
@@ -480,6 +528,22 @@ def test_pendant_words_map_each_word_to_its_monodromy(w, category):
         for word in words:
             assert found[word] == monodromy(word), (k, word)
 
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_pendant_words_match_the_orbit_minima_of_every_word(n):
+    # brute force over all 4^n words, each word's monodromy included: odd n
+    # and m = 1 reach the join only here
+    monodromies = {}
+    for stones in itertools.product(STONES, repeat=n):
+        word = "".join(stones)
+        monodromies[word] = monodromy(word)
+    for w in (0, 1, 2) if n <= 7 else (0, 1):
+        words = [word for word, g in monodromies.items() if pendants(word, w)]
+        for category in ("nonoriented", "oriented"):
+            minima = {min(orbit(word, category)) for word in words}
+            expected = {word: monodromies[word] for word in minima}
+            assert _pendant_words(n, w, category) == expected, (w, category)
 
 def _shifted_pair(word, fact):
     """The shift s on pairs: conjugation by the first stone's monodromy."""

@@ -427,14 +427,17 @@ def test_trace_coherence():
             assert t > 2
 
 
+def _class_rep(cls):
+    """The representative that _classify_full's conjugator carries onto g."""
+    if cls.diagram is None:
+        return psl2._ELLIPTIC[cls.kind][0]
+    return psl2._run_product(cls.diagram.letters)
+
+
 def test_conjugator_to_rep():
     # _classify_full's h conjugates the class representative onto g:
     # g = h^-1 * rep * h, the conjugator Analysis._pair reads
-    def rep(cls):
-        if cls.diagram is None:
-            return psl2._ELLIPTIC[cls.kind][0]
-        return psl2._run_product(cls.diagram.letters)
-
+    rep = _class_rep
     for word, expected_rep in [
         ("R", R),
         ("L^-1 R L", R),
@@ -456,6 +459,27 @@ def test_conjugator_to_rep():
             h, w = cutting_conjugator(g)
             assert h.inverse() * evaluate(w) * h == g
     assert len(kinds) == 6  # every class kind
+
+
+@pytest.mark.parametrize(
+    "word",
+    [
+        "R^30000 L R^-30000",  # a prefix of 59,999 syllables, ending in X
+        "L^3000 R^7 L^-3000",
+        "L^40 X L^-40",  # (X^e Y)* alone
+        "R^-40 X R^40",  # a leading Y
+        "Y R^40 L^2 R^-40 Y",  # a leading Y and a trailing X
+        "Y L^40 R^3 L^-40 Y",
+    ],
+)
+def test_conjugator_to_rep_on_long_peels(word):
+    # a peeled prefix of 32 syllables or more (79 or more here) multiplies
+    # as runs of L and R, not syllable by syllable; the conjugator must stay
+    # exact for every shape of prefix
+    g = evaluate(word)
+    cls, h, nf = psl2._classify_full(g)
+    assert len(nf) > 150
+    assert h.inverse() * _class_rep(cls) * h == g
 
 
 def test_dehn_twist_formula():
