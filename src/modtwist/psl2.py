@@ -476,15 +476,8 @@ def _classify_full(g: GroupElement) -> tuple[ConjugacyClass, GroupElement, Sylla
         if merged:
             tail = ((gen, merged),)
             break
-    # g = u * evaluate(syl) * u^-1 from here on.  A long prefix [Y] (X^e Y)* [X^e]
-    # multiplies by runs (X Y = L, X^2 Y = R); a short one, as usual, by syllables
-    if i < 32:
-        u = product(map(_SYLLABLE_POWER.__getitem__, syl[:i]))
-    else:
-        lead = int(syl[0] == _Y1)
-        pairs, last = divmod(i - lead, 2)
-        runs = _run_product("".join("LR"[e - 1] for _, e in syl[lead : lead + 2 * pairs : 2]))
-        u = product([Y] * lead + [runs] + [_SYLLABLE_POWER[s] for s in syl[i - last : i]])
+    # g = u * evaluate(syl) * u^-1 from here on
+    u = product(map(_SYLLABLE_POWER.__getitem__, syl[:i]))
     syl = list(syl[i:j] + tail)
 
     if len(syl) < 2:

@@ -450,7 +450,6 @@ def test_a_tail_ending_in_a_non_border_prefix_undercuts_the_join(n, category, he
     assume(checked)
 
 
-
 @settings(max_examples=500, deadline=None, derandomize=True)
 @given(
     st.integers(min_value=4, max_value=12),
@@ -497,6 +496,7 @@ def test_half_keys_are_the_least_padded_windows(category):
                     if nonoriented:
                         assert inv[word] == inverse(word)
 
+
 def test_stone_histograms_group_every_word_by_its_monodromy():
     # H_d holds F(2d + 3) - 1 distinct monodromies (1, 4, 12, 33, ...) and
     # all 4^d words
@@ -529,7 +529,6 @@ def test_pendant_words_map_each_word_to_its_monodromy(w, category):
             assert found[word] == monodromy(word), (k, word)
 
 
-
 @pytest.mark.parametrize("n", range(2, 9))
 def test_pendant_words_match_the_orbit_minima_of_every_word(n):
     # brute force over all 4^n words, each word's monodromy included: odd n
@@ -539,11 +538,12 @@ def test_pendant_words_match_the_orbit_minima_of_every_word(n):
         word = "".join(stones)
         monodromies[word] = monodromy(word)
     for w in (0, 1, 2) if n <= 7 else (0, 1):
-        words = [word for word, g in monodromies.items() if pendants(word, w)]
+        words = [word for word in monodromies if pendants(word, w)]
         for category in ("nonoriented", "oriented"):
             minima = {min(orbit(word, category)) for word in words}
             expected = {word: monodromies[word] for word in minima}
             assert _pendant_words(n, w, category) == expected, (w, category)
+
 
 def _shifted_pair(word, fact):
     """The shift s on pairs: conjugation by the first stone's monodromy."""

@@ -437,7 +437,6 @@ def _class_rep(cls):
 def test_conjugator_to_rep():
     # _classify_full's h conjugates the class representative onto g:
     # g = h^-1 * rep * h, the conjugator Analysis._pair reads
-    rep = _class_rep
     for word, expected_rep in [
         ("R", R),
         ("L^-1 R L", R),
@@ -448,13 +447,13 @@ def test_conjugator_to_rep():
     ]:
         g = evaluate(word)
         cls, h, _ = psl2._classify_full(g)
-        assert rep(cls) == expected_rep
-        assert h.inverse() * rep(cls) * h == g
+        assert _class_rep(cls) == expected_rep
+        assert h.inverse() * _class_rep(cls) * h == g
     kinds = set()
     for g in _random_elements(100, seed=13):
         cls, h, _ = psl2._classify_full(g)
         kinds.add(cls.kind)
-        assert h.inverse() * rep(cls) * h == g
+        assert h.inverse() * _class_rep(cls) * h == g
         if cls.diagram is not None:
             h, w = cutting_conjugator(g)
             assert h.inverse() * evaluate(w) * h == g
@@ -473,9 +472,8 @@ def test_conjugator_to_rep():
     ],
 )
 def test_conjugator_to_rep_on_long_peels(word):
-    # a peeled prefix of 32 syllables or more (79 or more here) multiplies
-    # as runs of L and R, not syllable by syllable; the conjugator must stay
-    # exact for every shape of prefix
+    # the conjugator stays exact on peeled prefixes of 79 syllables or more,
+    # with or without a leading Y and a trailing X
     g = evaluate(word)
     cls, h, nf = psl2._classify_full(g)
     assert len(nf) > 150
