@@ -23,8 +23,9 @@ meets only the tails keyed above it, and an exact test on each joined
 word keeps the orbit minima (see _pendant_words).  The keys, least padded
 windows by a suffix recursion, leave open only the rotations at a border
 of h and those in a tail half that holds h or ends with a proper prefix
-h[:i] of h; where the h (or inverse(h)) that follows such an end reads
-below h[i:], the rotation from there undercuts the word, which is dropped.
+h[:i] of h.  A word is dropped where the h (or inverse(h)) after such an
+end reads below h[i:]; the rest are checked against the borders of h, plus
+every rotation in a tail half if a half holds h or such a read is h[i:].
 """
 
 from __future__ import annotations
@@ -326,8 +327,7 @@ def _pendant_words(n: int, w: int, category: str) -> dict[str, GroupElement]:
     rotations that can be no greater than x start at a head suffix that
     is a prefix of h (the head's borders, fixed per head), or in a tail
     half s (t, or nonoriented inverse(t)) where h occurs in s or where s
-    ends with a proper prefix of h.  A tail half passing neither C-level
-    test opens none of its rotations.
+    ends with a proper prefix of h.
 
     Such a prefix decides its rotation outright.  If a tail half s ends
     with h[:i] (0 < i < m), the rotation from there reads h[:i] + c + ...,
@@ -344,23 +344,23 @@ def _pendant_words(n: int, w: int, category: str) -> dict[str, GroupElement]:
     head is skipped before its product, and the condition is decided once
     per pair of them; for w = 0 the only partner is the inverse.  A head
     group's rows are built once it passes that guard.  A joined x not
-    dropped is kept iff it is no greater than the head's borders and the
-    rotations that start in a flagged tail half, and with none of them
-    open it is kept as is: exactly the orbit minima.
+    dropped is flagged if h occurs in a tail half or c[:m - i] = h[i:]
+    after one; it is kept iff it is no greater than the head's borders
+    and, if flagged, every rotation that starts in a tail half (those of
+    an unflagged half are above x): exactly the orbit minima.
     """
     m = n // 2
     nonoriented = category == "nonoriented"
     levels = _stone_histograms(n - m)
     key, inv = _half_keys(levels, m, nonoriented)
 
-    # the rotations of x + x + y + y (oriented, x + x) that start in t, and in inverse(t)
-    in_t, in_it = ([slice(2 * n * c + i, 2 * n * c + i + n) for i in range(m, n)] for c in (0, 1))
+    # the rotations of x + x + y + y (oriented, x + x) that start in t or inverse(t)
+    in_tails = [slice(c + i, c + i + n) for c in (0, 2 * n)[: 1 + nonoriented] for i in range(m, n)]
 
     def head(h: str) -> tuple:
         """The row of head h: h, inverse(h), the prefixes h[:i] whose end in
-        t drops x and those that flag t, the same for inverse(t), and the
-        rotations left open at h, indexed by the flags of t (1) and,
-        nonoriented, of inverse(t) (2): the borders, and the tail halves'."""
+        t drops x and those that flag x, the same for inverse(t), and the
+        borders: the rotations open at x, with in_tails if x is flagged."""
         ih = inv[h] if nonoriented else ""
         kill, keep, ikill, ikeep, borders = [], [], [], [], []
         for i in range(1, m):
@@ -373,8 +373,7 @@ def _pendant_words(n: int, w: int, category: str) -> dict[str, GroupElement]:
                 (ikill if ih[: m - i] < r else ikeep).append(h[:i])
         if nonoriented:
             borders += [slice(2 * n + i, 3 * n + i) for i in range(m) if h.startswith(ih[i:])]
-        rotations = [borders, borders + in_t, borders + in_it, borders + in_t + in_it]
-        return h, ih, tuple(kill), tuple(keep), tuple(ikill), tuple(ikeep), rotations
+        return h, ih, tuple(kill), tuple(keep), tuple(ikill), tuple(ikeep), borders
 
     tails = levels[-1]
 
@@ -396,16 +395,15 @@ def _pendant_words(n: int, w: int, category: str) -> dict[str, GroupElement]:
                 continue
             if rows is None:
                 rows = list(map(head, hs))
-            for h, ih, kill, keep, ikill, ikeep, rotations in rows:
+            for h, ih, kill, keep, ikill, ikeep, borders in rows:
                 lo = bisect_right(keys, h)
                 if nonoriented:
                     for t, it in zip(ts[lo:], its[lo:]):
                         if t.endswith(kill) or it.endswith(ikill):
                             continue
                         x = h + t
-                        open_ = rotations[
-                            (h in t or t.endswith(keep)) + 2 * (h in it or it.endswith(ikeep))
-                        ]
+                        flag = h in t or t.endswith(keep) or h in it or it.endswith(ikeep)
+                        open_ = borders + in_tails if flag else borders
                         if not open_ or x <= min(map((2 * x + 2 * (ih + it)).__getitem__, open_)):
                             found[x] = g
                 else:
@@ -413,7 +411,7 @@ def _pendant_words(n: int, w: int, category: str) -> dict[str, GroupElement]:
                         if t.endswith(kill):
                             continue
                         x = h + t
-                        open_ = rotations[h in t or t.endswith(keep)]
+                        open_ = borders + in_tails if h in t or t.endswith(keep) else borders
                         if not open_ or x <= min(map((x + x).__getitem__, open_)):
                             found[x] = g
     return found

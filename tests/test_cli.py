@@ -284,6 +284,33 @@ def test_result_integer_past_the_digit_limit_exits_4(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
+        ("classify", "R^3 L R^2"),
+        ("factorize", "L^4", "--check-obstructions"),
+        ("necklace", "stats", "OOOOOSSSSS", "--k", "2", "--w", "2"),
+        ("mcurve", "*ud*", "--directed"),
+        ("necklace", "enumerate", "--k", "1", "--w", "0"),
+        ("classify", "LR" * 12000),
+    ],
+    ids=["classify", "factorize", "stats", "mcurve", "enumerate", "digit_limit"],
+)
+def test_pretty_indents_the_compact_document(capsys, argv):
+    code, compact, _ = run_cli(capsys, *argv)
+    pretty_code, pretty, err = run_cli(capsys, "--pretty", *argv)
+    assert pretty_code == code
+    if code == 4:  # a result integer past the digit limit is refused either way
+        assert (compact, pretty) == ("", "")
+        assert "digit limit" in err
+        return
+    assert code == 0
+    doc = json.loads(compact)
+    if argv[:2] == ("necklace", "enumerate"):  # elapsed is the run's wall time
+        doc["elapsed"] = json.loads(pretty)["elapsed"]
+    assert pretty == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         # a conjugate whose normal form peels 30,000 syllables off both ends
         ["classify", "R^30000 L R^-30000"],
         # disjoint-axes monodromies with 600- and 4,004-letter diagrams

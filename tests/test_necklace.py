@@ -407,9 +407,13 @@ def test_only_flagged_tail_halves_open_rotations(n, category, head, tail):
     # the lemma behind the join's rule: with key(h) > h and key(t) > h, a
     # rotation of x = h + t (or, nonoriented, of y = inverse(h) + inverse(t))
     # that starts in a tail half s is above x unless h occurs in s or s ends
-    # with a proper prefix of h.  This checks the lemma, not the flags that
-    # _pendant_words computes from it; the brute-force and pinned-digest
-    # tests of the enumeration guard those.
+    # with a proper prefix of h.  Its consumer is the one-flag rule of
+    # _pendant_words: an unflagged x is checked against its head's borders
+    # alone and a flagged one also against every rotation that starts in a
+    # tail half, as the rotations of an unflagged half cannot change the
+    # decision.  This checks the lemma, not the flag that _pendant_words
+    # computes from it; the brute-force and pinned-digest tests of the
+    # enumeration guard that.
     m = n // 2
     head = min(orbit(head[:m], category))  # an orbit minimum: key(head) > head
     tail = tail[: n - m]
