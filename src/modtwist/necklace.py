@@ -24,8 +24,14 @@ word keeps the orbit minima (see _pendant_words).  The keys, least padded
 windows by a suffix recursion, leave open only the rotations at a border
 of h and those in a tail half that holds h or ends with a proper prefix
 h[:i] of h.  A word is dropped where the h (or inverse(h)) after such an
-end reads below h[i:]; the rest are checked against the borders of h, plus
-every rotation in a tail half if a half holds h or such a read is h[i:].
+end reads below h[i:].  At a border i of h (h[i:] a prefix of h) the
+rotation reads t[:i] where x = h + t reads h[m - i:], so the tail alone
+drops the word when t is below that suffix, and a t starting with it
+leaves the rotation above x; inverse(t) drops the word the same way at an
+inverse border and flags it when it starts with the suffix.  A flagged
+word, or one whose tail half holds h or reads h[i:] after such an end, is
+checked against the borders of h and every rotation in a tail half; the
+rest are kept.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ from __future__ import annotations
 import time
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 from .diagrams import canonical_rotation
@@ -266,40 +273,60 @@ _HAS_PENDANT = {
 _ONE_PENDANT = {0: StrongClassLabel("empty"), 1: StrongClassLabel("single_twist")}
 
 
-def _stone_histograms(length: int) -> list[dict[GroupElement, list[str]]]:
-    """[H_0, ..., H_length]: H_d groups the stone words of length d by
+def _next_histogram(level: dict[GroupElement, tuple[str, ...]]) -> dict[GroupElement, tuple[str, ...]]:
+    """H_(d + 1) from H_d: each distinct element times each stone, once."""
+    grown: dict[GroupElement, list[str]] = {}
+    for g, words in level.items():
+        for s, gs in STONE_MONODROMY.items():
+            grown.setdefault(g * gs, []).extend([w + s for w in words])
+    return {g: tuple(words) for g, words in grown.items()}
+
+
+# the half tables depend only on the alphabet.  Reached through
+# enumerate_classes, the k <= 2 cap bounds them to lengths up to 6 and six
+# (length, m) pairs; a direct call with a larger size adds its entry.  They
+# are shared and read-only; the word groups are tuples, which the collector
+# stops tracking.
+@lru_cache(maxsize=None)
+def _stone_histograms(length: int) -> tuple[dict[GroupElement, tuple[str, ...]], ...]:
+    """(H_0, ..., H_length): H_d groups the stone words of length d by
     their monodromy.
 
-    A dynamic programme over distinct monodromies: each level multiplies
-    each distinct element of the last by each stone once, so H_d holds one
-    GroupElement per distinct element: F(2d + 3) - 1 of them, observed and
-    not proven (609 for the 4,096 words of length 6).
+    A dynamic programme over distinct monodromies (see _next_histogram),
+    each length built on the shared levels of the one below, so H_d holds
+    one GroupElement per distinct element: F(2d + 3) - 1 of them, observed
+    and not proven (609 for the 4,096 words of length 6).
     """
-    levels = [{IDENTITY: [""]}]
-    for _ in range(length):
-        grown: dict[GroupElement, list[str]] = {}
-        for g, words in levels[-1].items():
-            for s, gs in STONE_MONODROMY.items():
-                grown.setdefault(g * gs, []).extend([w + s for w in words])
-        levels.append(grown)
-    return levels
+    if not length:
+        return ({IDENTITY: ("",)},)
+    shorter = _stone_histograms(length - 1)
+    return shorter + (_next_histogram(shorter[-1]),)
 
 
-def _half_keys(levels: list, m: int, nonoriented: bool) -> tuple[dict[str, str], dict[str, str]]:
-    """(key, inv) on the sizes m and len(levels) - 1 of _stone_histograms'
-    levels: key[s] is the least window of m + 1 letters of s + PAD that
-    starts in s (nonoriented, or in inverse(s), if less), and inv[s] is
-    inverse(s), nonoriented.  By the suffix recursion K("") = PAD and
+def _padded_keys(levels: tuple, m: int) -> dict[str, str]:
+    """key[s] for the stone words s of the sizes 1 to m and len(levels) - 1
+    of _stone_histograms' levels: the least window of m + 1 letters of
+    s + PAD that starts in s.  By the suffix recursion K("") = PAD and
     K(c + u) = min(c + u + PAD, K(u)), the least padded suffix: a size-m
     half's key; a size-(m + 1) tail's windows are t and those of t[1:]."""
     key = {"": _PAD}
     for level in levels[1 : m + 1]:
         key.update({s: min(s + _PAD, key[s[1:]]) for ws in level.values() for s in ws})
-    halves = levels[m:]
-    if len(halves) > 1:
-        key.update({t: min(t, key[t[1:]]) for ws in halves[1].values() for t in ws})
-    if not nonoriented:
-        return key, {}
+    if len(levels) > m + 1:
+        key.update({t: min(t, key[t[1:]]) for ws in levels[m + 1].values() for t in ws})
+    return key
+
+
+@lru_cache(maxsize=None)
+def _half_keys(length: int, m: int) -> dict[str, str]:
+    """_padded_keys on the levels of _stone_histograms(length)."""
+    return _padded_keys(_stone_histograms(length), m)
+
+
+def _inverse_keys(halves: tuple, key: dict[str, str]) -> tuple[dict[str, str], dict[str, str]]:
+    """(key, inv) of the nonoriented join on the words of halves, levels of
+    _stone_histograms: inv[s] is inverse(s) and key[s] the lesser of the
+    oriented keys of s and inv[s].  Built per call, not shared."""
     inv = {s: s[::-1].translate(_INVERT_STONE) for lv in halves for ws in lv.values() for s in ws}
     return {s: min(key[s], key[i]) for s, i in inv.items()}, inv
 
@@ -337,43 +364,75 @@ def _pendant_words(n: int, w: int, category: str) -> dict[str, GroupElement]:
     t, key(h) > h gives h[i:] + PAD > h, so h[:m - i] < h[i:] unless h[i:]
     is a border (a suffix of h that is also a prefix of it).
 
+    The tail decides each border: where h[i:] is a prefix of h, the
+    rotation of x at i reads t[:i] where x reads h[m - i:], so it is below
+    x iff t < h[m - i:] and equal to x that far iff t starts with
+    e = h[m - i:]; inverse(t) does the same at an inverse border i >= 1 of
+    y (inverse(h)[i:] a prefix of h), and for h = inverse(h), y compares
+    with x as inverse(t) does with t.  A t that starts with e leaves the
+    rotation above x unless t holds h or ends with a proper prefix of h,
+    where x is dropped or flagged anyway: h has period i, so with
+    r = m mod i, h[r:] is a prefix of e + e + ... and the window of t at
+    i - r reads h[:r] + t[i:], a suffix of t and so no prefix of h.  As
+    key(t) > h, t[i:] first differs from e + e + ... inside t[i:], at a
+    letter where it is the greater, and there the rotation's t[i:] + h[:i]
+    exceeds x's e + t[i:] (tests/test_necklace.py checks every case up to
+    n = 13).
+
     The halves come from the histogram of their monodromies, their keys
-    from _half_keys.  A head joins the tails of a monodromy keyed above it
-    (bisect_right on the keys, sorted when a head group first reaches it);
-    a pair of monodromies whose greatest tail key is not above its least
-    head is skipped before its product, and the condition is decided once
-    per pair of them; for w = 0 the only partner is the inverse.  A head
-    group's rows are built once it passes that guard.  A joined x not
-    dropped is flagged if h occurs in a tail half or c[:m - i] = h[i:]
-    after one; it is kept iff it is no greater than the head's borders
-    and, if flagged, every rotation that starts in a tail half (those of
-    an unflagged half are above x): exactly the orbit minima.
+    from _half_keys; both tables are shared by every call of a process.
+    A head joins the tails of a monodromy keyed above it (bisect_right on
+    the keys, sorted when a head group first reaches it); a pair of
+    monodromies whose greatest tail key is not above its least head is
+    skipped before its product, and the condition is decided once per
+    pair of them; for w = 0 the only partner is the inverse.  A head
+    group's rows are built once it passes that guard.  A joined x is
+    dropped if t is below the greatest of the head's border suffixes
+    (inverse(t) of its inverse ones, or below t for h = inverse(h)), or a
+    tail half ends in a prefix after which c[:m - i] < h[i:].  It is
+    flagged if h occurs in a tail half, c[:m - i] = h[i:] after one, or
+    inverse(t) starts with an inverse border's suffix.  A flagged x is
+    kept iff it is no greater than its rotations at the head's borders and
+    every rotation that starts in a tail half; an unflagged x is kept, as
+    all its other rotations are above it: exactly the orbit minima.
     """
     m = n // 2
     nonoriented = category == "nonoriented"
     levels = _stone_histograms(n - m)
-    key, inv = _half_keys(levels, m, nonoriented)
+    key, inv = _half_keys(n - m, m), {}
+    if nonoriented:
+        key, inv = _inverse_keys(levels[m:], key)
 
     # the rotations of x + x + y + y (oriented, x + x) that start in t or inverse(t)
     in_tails = [slice(c + i, c + i + n) for c in (0, 2 * n)[: 1 + nonoriented] for i in range(m, n)]
 
     def head(h: str) -> tuple:
-        """The row of head h: h, inverse(h), the prefixes h[:i] whose end in
-        t drops x and those that flag x, the same for inverse(t), and the
-        borders: the rotations open at x, with in_tails if x is flagged."""
-        ih = inv[h] if nonoriented else ""
-        kill, keep, ikill, ikeep, borders = [], [], [], [], []
+        """The row of head h: h, inverse(h); the drop tests: the greatest
+        suffix h[m - i:] at a border i and at an inverse border, whether
+        h = inverse(h), and the prefixes h[:i] whose end in t or in
+        inverse(t) drops x; the flag tests: the suffixes at the inverse
+        borders, and the prefixes whose end flags x; the rotations open at
+        a flagged x."""
+        ih = inv.get(h, "")
+        top, itop, kill, keep, ikill, ikeep, iends, borders = "", "", [], [], [], [], [], []
         for i in range(1, m):
-            if h.startswith(r := h[i:]):  # the h after t reads h[:m - i] = h[i:]
+            if h.startswith(r := h[i:]):  # a border: the h after t reads h[:m - i] = h[i:]
+                top = max(top, h[m - i :])
                 keep.append(h[:i])
                 borders.append(slice(i, i + n))
             else:  # key(h) > h: h[:m - i] < h[i:]
                 kill.append(h[:i])
-            if nonoriented and ih[: m - i] <= r:
-                (ikill if ih[: m - i] < r else ikeep).append(h[:i])
-        if nonoriented:
-            borders += [slice(2 * n + i, 3 * n + i) for i in range(m) if h.startswith(ih[i:])]
-        return h, ih, tuple(kill), tuple(keep), tuple(ikill), tuple(ikeep), borders
+            if nonoriented:
+                if (c := ih[: m - i]) <= r:  # the inverse(h) after inverse(t) reads c
+                    (ikill if c < r else ikeep).append(h[:i])
+                if h.startswith(ih[i:]):  # an inverse border
+                    itop = max(itop, h[m - i :])
+                    iends.append(h[m - i :])
+                    borders.append(slice(2 * n + i, 3 * n + i))
+        if mirror := nonoriented and ih == h:
+            borders.append(slice(2 * n, 3 * n))
+        tests = tuple(kill), tuple(ikill), tuple(iends), tuple(keep), tuple(ikeep)
+        return h, ih, top, itop, mirror, *tests, borders + in_tails
 
     tails = levels[-1]
 
@@ -395,25 +454,26 @@ def _pendant_words(n: int, w: int, category: str) -> dict[str, GroupElement]:
                 continue
             if rows is None:
                 rows = list(map(head, hs))
-            for h, ih, kill, keep, ikill, ikeep, borders in rows:
+            for h, ih, top, itop, mirror, kill, ikill, iends, keep, ikeep, open_ in rows:
                 lo = bisect_right(keys, h)
                 if nonoriented:
                     for t, it in zip(ts[lo:], its[lo:]):
-                        if t.endswith(kill) or it.endswith(ikill):
+                        if t < top or it < itop or mirror and it < t or t.endswith(kill) or it.endswith(ikill):
                             continue
                         x = h + t
-                        flag = h in t or t.endswith(keep) or h in it or it.endswith(ikeep)
-                        open_ = borders + in_tails if flag else borders
-                        if not open_ or x <= min(map((2 * x + 2 * (ih + it)).__getitem__, open_)):
-                            found[x] = g
+                        if (
+                            h in t or h in it or it.startswith(iends) or t.endswith(keep) or it.endswith(ikeep)
+                        ) and x > min(map((2 * x + 2 * (ih + it)).__getitem__, open_)):
+                            continue
+                        found[x] = g
                 else:
                     for t in ts[lo:]:
-                        if t.endswith(kill):
+                        if t < top or t.endswith(kill):
                             continue
                         x = h + t
-                        open_ = borders + in_tails if h in t or t.endswith(keep) else borders
-                        if not open_ or x <= min(map((x + x).__getitem__, open_)):
-                            found[x] = g
+                        if (h in t or t.endswith(keep)) and x > min(map((x + x).__getitem__, open_)):
+                            continue
+                        found[x] = g
     return found
 
 

@@ -19,6 +19,9 @@ from modtwist.necklace import (
     _PAD,
     CATEGORIES,
     _half_keys,
+    _inverse_keys,
+    _next_histogram,
+    _padded_keys,
     _pendant_words,
     _stone_histograms,
     canonicalize,
@@ -484,16 +487,99 @@ def test_an_inverse_tail_ending_in_a_prefix_is_decided_by_the_inverse_head(n, he
     assume(decided)
 
 
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(
+    st.integers(min_value=4, max_value=12),
+    st.sampled_from(["oriented", "nonoriented"]),
+    st.text(alphabet=STONES, min_size=6, max_size=6),
+    st.integers(min_value=1, max_value=6),
+    st.text(alphabet=STONES, min_size=6, max_size=6),
+)
+def test_a_border_of_the_head_is_decided_by_the_tail(n, category, head, period, tail):
+    # the lemma behind the border rule of _pendant_words, which drops x =
+    # h + t from t alone: at a border i of h (h[i:] a prefix of h,
+    # 0 < i < m), the rotation of x reads h[:m - i] + t[:i] where x reads
+    # h[:m - i] + h[m - i:], so it is strictly below x when t[:i] < h[m - i:]
+    # and strictly above it when greater.  Nonoriented, the rotation of
+    # y = inverse(h) + inverse(t) at an inverse border i >= 1
+    # (inverse(h)[i:] a prefix of h) does the same with inverse(t)[:i], and
+    # for h = inverse(h), y = h + inverse(t) is in the orbit of x, where it
+    # compares with x as inverse(t) does with t.  A head repeating its
+    # first letters has more borders.
+    m = n // 2
+    head = min(orbit((head[:period] * m)[:m], category))
+    tail = tail[: n - m]
+    x = head + tail
+    cycles = [(x, tail)]
+    if category == "nonoriented":
+        cycles.append((inverse(head) + inverse(tail), inverse(tail)))
+    decided = 0
+    for c, s in cycles:
+        for i in range(1, m):
+            if not head.startswith(c[i:m]):
+                continue
+            rotation = (c + c)[i : i + n]
+            if s[:i] < head[m - i :]:
+                assert rotation < x, (c, i)
+            elif s[:i] > head[m - i :]:
+                assert rotation > x, (c, i)
+            else:
+                continue
+            decided += 1
+    if category == "nonoriented" and inverse(head) == head:
+        assert head + inverse(tail) in orbit(x, category), x
+        decided += 1
+    assume(decided)
+
+
+@pytest.mark.parametrize("n", range(4, 14))
+def test_a_tail_starting_with_a_border_suffix_leaves_the_rotation_above(n):
+    # the lemma that lets the border rule of _pendant_words set no flag for
+    # a tail that starts with a border suffix: if h[i:] is a prefix of h
+    # (0 < i < m), t starts with h[m - i:], the oriented key(t) is above h
+    # (the nonoriented one is no greater), and t neither holds h nor ends
+    # with a proper prefix of h (which drops or flags x already), the
+    # rotation of x = h + t at i is strictly above x.  Every head of size m
+    # with a border and every such tail, for n up to 13; the proof is in
+    # the docstring of _pendant_words.
+    m = n // 2
+    checked = 0
+    for i in range(1, m):
+        for unit in map("".join, itertools.product(STONES, repeat=i)):
+            head = (unit * m)[:m]
+            prefixes = tuple(head[:j] for j in range(1, m))
+            for rest in map("".join, itertools.product(STONES, repeat=n - m - i)):
+                tail = head[m - i :] + rest
+                if head in tail or tail.endswith(prefixes) or _key(tail, m, "oriented") <= head:
+                    continue
+                x = head + tail
+                assert (x + x)[i : i + n] > x, (head, tail, i)
+                checked += 1
+    assert checked
+
+
+def _fresh_histograms(length):
+    """_stone_histograms(length) built level by level, outside its memo."""
+    levels = [{IDENTITY: ("",)}]
+    while len(levels) <= length:
+        levels.append(_next_histogram(levels[-1]))
+    return tuple(levels)
+
+
 @pytest.mark.parametrize("category", ["nonoriented", "oriented"])
 def test_half_keys_are_the_least_padded_windows(category):
     # the suffix recursion gives _key on every stone word of length 1-7: as
     # a size-m half (the heads', and even n's tails), and as a size-(m + 1)
-    # tail of odd n
+    # tail of odd n; the memo holds the oriented keys up to length 6
     nonoriented = category == "nonoriented"
-    levels = _stone_histograms(7)
+    levels = _fresh_histograms(7)
     for m in range(1, 8):
         for size in (m, m + 1) if m < 7 else (m,):
-            key, inv = _half_keys(levels[: size + 1], m, nonoriented)
+            key, inv = _padded_keys(levels[: size + 1], m), {}
+            if size <= 6:
+                assert _half_keys(size, m) == key, (size, m)
+            if nonoriented:
+                key, inv = _inverse_keys(levels[m : size + 1], key)
             for words in levels[size].values():
                 for word in words:
                     assert key[word] == _key(word, m, category), (m, word)
@@ -503,20 +589,40 @@ def test_half_keys_are_the_least_padded_windows(category):
 
 def test_stone_histograms_group_every_word_by_its_monodromy():
     # H_d holds F(2d + 3) - 1 distinct monodromies (1, 4, 12, 33, ...) and
-    # all 4^d words
+    # all 4^d words, each group a tuple; 4^9 words are too many to keep in
+    # the memo, so the levels past 6 are built outside it
     fib = [0, 1]
     while len(fib) < 22:
         fib.append(fib[-2] + fib[-1])
-    levels = _stone_histograms(9)
-    assert levels[0] == {IDENTITY: [""]}
+    levels = _fresh_histograms(9)
+    assert _stone_histograms(0) == ({IDENTITY: ("",)},)
+    assert _stone_histograms(6) == levels[:7]
     for d, level in enumerate(levels):
         assert len(level) == fib[2 * d + 3] - 1, d
         assert sum(map(len, level.values())) == 4**d, d
+        assert all(type(group) is tuple for group in level.values()), d
         if 1 <= d <= 4:
             words = sorted(word for group in level.values() for word in group)
             assert words == sorted(map("".join, itertools.product(STONES, repeat=d)))
             for g, group in level.items():
                 assert all(monodromy(word) == g for word in group), d
+
+
+def test_the_shared_half_tables_stay_intact():
+    # both categories of k = 1 (w <= 2) and of k = 2, w = 0 read the shared
+    # _stone_histograms and _half_keys in one process: each run keeps its
+    # pinned representatives, and the memoized tables still equal a fresh
+    # build, so no enumeration changed them
+    pinned = {(1, w, category): digest for (w, category), (_, digest) in K1_TSV.items()}
+    pinned.update({(2, 0, category): K2_TSV[0, category][1] for category in ("nonoriented", "oriented")})
+    for (k, w, category), digest in pinned.items():
+        reps = enumerate_classes(k, w, category).representatives
+        tsv = "".join(f"{word}\t{label}\n" for word, label in reps)
+        assert hashlib.sha256(tsv.encode()).hexdigest() == digest, (k, w, category)
+    fresh = _fresh_histograms(6)
+    for length, m in [(3, 3), (3, 2), (2, 2), (6, 6), (6, 5), (5, 5)]:
+        assert _stone_histograms(length) == fresh[: length + 1]
+        assert _half_keys(length, m) == _padded_keys(fresh[: length + 1], m), (length, m)
 
 
 @pytest.mark.parametrize("category", ["nonoriented", "oriented"])

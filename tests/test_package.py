@@ -71,15 +71,23 @@ def _modules():
     return [import_module(f"modtwist.{name}") for name in names if name != "__init__"]
 
 
-# every lru_cache of the package; all but the per-modulus one are keyed by
-# an element or a word, and conftest's _clear_memos empties those
+# every lru_cache of the package; all but the per-modulus and the
+# half-table ones are keyed by an element or a word, and conftest's
+# _clear_memos empties those.  The kept ones depend only on the modulus or
+# on the stone alphabet.
 MEMOS = {
     "modtwist.psl2._classify_full",
     "modtwist.factorization.analyze",
     "modtwist.mcurve._cutting_diagram",
     "modtwist.obstructions._twist_class_mod",
+    "modtwist.necklace._stone_histograms",
+    "modtwist.necklace._half_keys",
 }
-PER_MODULUS = {"modtwist.obstructions._twist_class_mod"}
+KEPT = {
+    "modtwist.obstructions._twist_class_mod",
+    "modtwist.necklace._stone_histograms",
+    "modtwist.necklace._half_keys",
+}
 
 
 def _memos():
@@ -111,11 +119,12 @@ def test_clear_memos_empties_every_per_element_memo(capsys):
     assert cli.main(["classify", "R^3 L R^2"]) == 0
     assert cli.main(["factorize", "R^3 L R^2", "--check-obstructions"]) == 0
     assert cli.main(["mcurve", "*ud*"]) == 0
+    assert cli.main(["necklace", "enumerate", "--k", "1", "--w", "0"]) == 0
     capsys.readouterr()
     memos = _memos()
     assert all(memo.cache_info().currsize for memo in memos.values())
     _clear_memos()
-    assert {name for name, memo in memos.items() if memo.cache_info().currsize} == PER_MODULUS
+    assert {name for name, memo in memos.items() if memo.cache_info().currsize} == KEPT
 
 
 def test_every_module_declares_its_public_names():
