@@ -108,15 +108,14 @@ CATEGORIES = (
 def validate_stone_word(word: str) -> str:
     if not word:
         raise DomainError("stone word must be nonempty")
-    if set(word) - set(STONES):
+    if word.strip(STONES):  # a letter outside the alphabet stops the strip
         raise DomainError(f"stone word uses alphabet O, S, >, <: {word!r}")
     return word
 
 
 def monodromy(word: str) -> GroupElement:
     """Product of the stone monodromies, in word order."""
-    validate_stone_word(word)
-    return product(map(STONE_MONODROMY.__getitem__, word))
+    return _stone_product(validate_stone_word(word))
 
 
 def dual(word: str) -> str:
@@ -301,6 +300,25 @@ def _stone_histograms(length: int) -> tuple[dict[GroupElement, tuple[str, ...]],
         return ({IDENTITY: ("",)},)
     shorter = _stone_histograms(length - 1)
     return shorter + (_next_histogram(shorter[-1]),)
+
+
+_BLOCK = 5  # stones per lookup of _stone_product
+
+
+@lru_cache(maxsize=None)
+def _block_monodromies() -> dict[str, GroupElement]:
+    """Every stone word of up to _BLOCK letters ("" included, 1,365 words)
+    mapped to its monodromy: _stone_histograms(_BLOCK) inverted, once per
+    process."""
+    return {s: g for level in _stone_histograms(_BLOCK) for g, ws in level.items() for s in ws}
+
+
+def _stone_product(word: str) -> GroupElement:
+    """The monodromy of a stone word (unvalidated; "" gives IDENTITY): the
+    product of its blocks of _BLOCK stones, each looked up in
+    _block_monodromies."""
+    block = _block_monodromies()
+    return product([block[word[i : i + _BLOCK]] for i in range(0, len(word), _BLOCK)])
 
 
 def _padded_keys(levels: tuple, m: int) -> dict[str, str]:
@@ -511,8 +529,7 @@ def _stabilizer_swaps(w0: str, g: GroupElement, category: str) -> bool:
             flipped = Factorization((real_involution(TAU1, m2), real_involution(TAU1, m1)))
             moves.append((flipped, inv[:back]))
     for pair, prefix in moves:
-        conj = product(map(STONE_MONODROMY.__getitem__, prefix))
-        if analysis.locate(pair.conjugated_by(conj)) == 1:
+        if analysis.locate(pair.conjugated_by(_stone_product(prefix))) == 1:
             return True
     return False
 

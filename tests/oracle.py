@@ -1,9 +1,11 @@
-"""Test-side oracle: every twist-pair product in a box, by brute force."""
+"""Test-side oracles: every twist-pair product in a box, by brute force,
+and the monodromy of a stone word one stone at a time."""
 
 from math import gcd
 from typing import Iterator
 
-from modtwist.psl2 import GroupElement, TwistVector, dehn_twist
+from modtwist.necklace import STONE_MONODROMY
+from modtwist.psl2 import GroupElement, TwistVector, dehn_twist, product
 
 
 def oracle_products(
@@ -25,3 +27,9 @@ def oracle_products(
         tu = dehn_twist(u)
         for v in vectors:
             yield u, v, tu * dehn_twist(v)
+
+
+def stone_monodromy(word: str) -> GroupElement:
+    """The product of the stone monodromies of word, letter by letter: the
+    reference for necklace.monodromy, which reads the shared word tables."""
+    return product(map(STONE_MONODROMY.__getitem__, word))

@@ -44,6 +44,7 @@ from modtwist.psl2 import (
     real_involution,
     twist_vector,
 )
+from oracle import stone_monodromy
 
 STONES = "OS><"
 
@@ -74,6 +75,29 @@ def test_transform_identities():
         k = rng.randrange(1, len(word) + 1)
         prefix = monodromy(word[:k]) if k else IDENTITY
         assert monodromy(shift(word, k)) == m.conjugated_by(prefix)
+
+
+def test_monodromy_is_the_letter_by_letter_product():
+    # every word of length 1-8, then seeded words of length 9-40: full
+    # blocks of the lookup and a partial last one
+    for n in range(1, 9):
+        for stones in itertools.product(STONES, repeat=n):
+            word = "".join(stones)
+            assert monodromy(word) == stone_monodromy(word), word
+    rng = random.Random(25)
+    for n in range(9, 41):
+        for _ in range(20):
+            word = "".join(rng.choice(STONES) for _ in range(n))
+            assert monodromy(word) == stone_monodromy(word), word
+
+
+@pytest.mark.parametrize("word", ["xOS>", "OS<x>O", "OOOOOSSSSSx", "OOS <", "OOOOO\nSSSSS", ""])
+def test_monodromy_refuses_a_word_off_the_alphabet(word):
+    # a foreign letter first, inside, last, or as a space or line break
+    expected = f"stone word uses alphabet O, S, >, <: {word!r}" if word else "stone word must be nonempty"
+    with pytest.raises(DomainError) as refusal:
+        monodromy(word)
+    assert str(refusal.value) == expected
 
 
 def test_transform_examples():
@@ -348,7 +372,7 @@ def _identity_words_by_the_full_half_join(n):
     halves = {}
     for stones in itertools.product(STONES, repeat=n // 2):
         half = "".join(stones)
-        halves.setdefault(monodromy(half), []).append(half)
+        halves.setdefault(stone_monodromy(half), []).append(half)
     return [
         head + tail
         for g, heads in halves.items()
@@ -605,7 +629,7 @@ def test_stone_histograms_group_every_word_by_its_monodromy():
             words = sorted(word for group in level.values() for word in group)
             assert words == sorted(map("".join, itertools.product(STONES, repeat=d)))
             for g, group in level.items():
-                assert all(monodromy(word) == g for word in group), d
+                assert all(stone_monodromy(word) == g for word in group), d
 
 
 def test_the_shared_half_tables_stay_intact():
@@ -636,7 +660,7 @@ def test_pendant_words_map_each_word_to_its_monodromy(w, category):
         if k == 2:
             words = random.Random(21).sample(words, 500)
         for word in words:
-            assert found[word] == monodromy(word), (k, word)
+            assert found[word] == stone_monodromy(word), (k, word)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -646,7 +670,7 @@ def test_pendant_words_match_the_orbit_minima_of_every_word(n):
     monodromies = {}
     for stones in itertools.product(STONES, repeat=n):
         word = "".join(stones)
-        monodromies[word] = monodromy(word)
+        monodromies[word] = stone_monodromy(word)
     for w in (0, 1, 2) if n <= 7 else (0, 1):
         words = [word for word in monodromies if pendants(word, w)]
         for category in ("nonoriented", "oriented"):

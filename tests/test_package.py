@@ -11,7 +11,7 @@ import pytest
 from conftest import _clear_memos
 
 import modtwist
-from modtwist import cli
+from modtwist import cli, necklace
 
 
 def test_import_loads_no_numpy():
@@ -71,10 +71,10 @@ def _modules():
     return [import_module(f"modtwist.{name}") for name in names if name != "__init__"]
 
 
-# every lru_cache of the package; all but the per-modulus and the
-# half-table ones are keyed by an element or a word, and conftest's
-# _clear_memos empties those.  The kept ones depend only on the modulus or
-# on the stone alphabet.
+# every lru_cache of the package; all but the per-modulus, the half-table
+# and the block-table ones are keyed by an element or a word, and
+# conftest's _clear_memos empties those.  The kept ones depend only on the
+# modulus or on the stone alphabet.
 MEMOS = {
     "modtwist.psl2._classify_full",
     "modtwist.factorization.analyze",
@@ -82,11 +82,13 @@ MEMOS = {
     "modtwist.obstructions._twist_class_mod",
     "modtwist.necklace._stone_histograms",
     "modtwist.necklace._half_keys",
+    "modtwist.necklace._block_monodromies",
 }
 KEPT = {
     "modtwist.obstructions._twist_class_mod",
     "modtwist.necklace._stone_histograms",
     "modtwist.necklace._half_keys",
+    "modtwist.necklace._block_monodromies",
 }
 
 
@@ -120,6 +122,7 @@ def test_clear_memos_empties_every_per_element_memo(capsys):
     assert cli.main(["factorize", "R^3 L R^2", "--check-obstructions"]) == 0
     assert cli.main(["mcurve", "*ud*"]) == 0
     assert cli.main(["necklace", "enumerate", "--k", "1", "--w", "0"]) == 0
+    necklace.monodromy("OOOOOSSSSS")  # fills the block table
     capsys.readouterr()
     memos = _memos()
     assert all(memo.cache_info().currsize for memo in memos.values())
