@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 from typing import Optional
 
 from . import mcurve as mc
@@ -73,7 +72,7 @@ def _cmd_factorize(args) -> dict:
     g = parse_element(args.element)
     # first, so a modulus past the budget is refused before any other work
     quotient_tests = [
-        asdict(finite_quotient_test(g, n)) for n in range(2, args.max_modulus + 1)
+        finite_quotient_test(g, n)._asdict() for n in range(2, args.max_modulus + 1)
     ] if args.check_obstructions else None
     strong, weak = count_classes(g)
     reps = []
@@ -92,7 +91,7 @@ def _cmd_factorize(args) -> dict:
         "strong_count": strong,
         "weak_count": weak,
         "representatives": reps,
-        "reality": asdict(factorization_reality(g)),
+        "reality": factorization_reality(g)._asdict(),
         "trace_test": trace_test(g),
     }
     if args.check_obstructions:
@@ -102,7 +101,7 @@ def _cmd_factorize(args) -> dict:
 
 def _cmd_necklace(args) -> dict:
     if args.necklace_command == "stats":
-        return asdict(nk.stats(args.word, k=args.k, w=args.w))
+        return nk.stats(args.word, k=args.k, w=args.w)._asdict()
     result = nk.enumerate_classes(args.k, args.w, category=args.category)
     if args.out:
         try:

@@ -20,13 +20,15 @@ rotation order occur too, as on LLLLLRRRLLLLLRRR, and are refused.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 from itertools import groupby
 from math import gcd
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Union
 
 from .errors import DomainError, VerificationError
+
+if TYPE_CHECKING:  # fractions loads on the disjoint-axes paths only
+    from fractions import Fraction
 
 __all__ = [
     "CyclicDiagram",
@@ -77,18 +79,17 @@ def canonical_rotation(word: str) -> str:
     return s[i : i + m]
 
 
-@dataclass(frozen=True)
-class CyclicDiagram:
+class CyclicDiagram(namedtuple("CyclicDiagram", "letters")):
     """A nonempty cyclic word over {L, R}, stored as its least rotation."""
 
-    letters: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.letters:
+    def __new__(cls, letters: str) -> "CyclicDiagram":
+        if not letters:
             raise DomainError("empty cyclic word")
-        if set(self.letters) - {"L", "R"}:
-            raise DomainError(f"cyclic words use letters L/R only: {self.letters!r}")
-        object.__setattr__(self, "letters", canonical_rotation(self.letters))
+        if set(letters) - {"L", "R"}:
+            raise DomainError(f"cyclic words use letters L/R only: {letters!r}")
+        return tuple.__new__(cls, (canonical_rotation(letters),))
 
     def __len__(self):
         return len(self.letters)
@@ -98,12 +99,10 @@ class CyclicDiagram:
         return self.letters[k:] + self.letters[:k]
 
 
-@dataclass(frozen=True)
-class ParaSymmetry:
+class ParaSymmetry(namedtuple("ParaSymmetry", "axis anchor_starts")):
     """A para-symmetry axis c with its two anchor-pair start positions."""
 
-    axis: int
-    anchor_starts: tuple[int, int]
+    __slots__ = ()
 
 
 def _reads_axis(w: str, j: int) -> bool:
@@ -195,6 +194,8 @@ def build_disjoint_axis_diagram(
     i -> numerator*i, then copies of insert / its transpose are placed
     between consecutive base letters and l, r are doubled to LL, RR.
     """
+    from fractions import Fraction
+
     if not isinstance(q, Fraction):
         if q[1] == 0:
             raise DomainError(f"rotation fraction has denominator 0: {q}")
@@ -209,18 +210,15 @@ def build_disjoint_axis_diagram(
     return CyclicDiagram("".join(b * 2 + inserts[i % 2] for i, b in enumerate(pattern)))
 
 
-@dataclass(frozen=True)
-class DiagramForm:
+class DiagramForm(namedtuple("DiagramForm", "kind m q insert", defaults=(None,) * 3)):
     """Result of recognize(): which two-axis family (if any) a diagram is in.
 
     kind is "shared_axes" (with chain parameter m), "disjoint_axes" (with
-    rotation fraction q and insert word), "one_axis" or "no_axis".
+    rotation fraction q, a Fraction, and insert word), "one_axis" or
+    "no_axis".
     """
 
-    kind: str
-    m: Optional[int] = None
-    q: Optional[Fraction] = None
-    insert: Optional[str] = None
+    __slots__ = ()
 
     def describe(self) -> str:
         if self.kind == "shared_axes":
@@ -260,6 +258,8 @@ def recognize(diagram: CyclicDiagram) -> DiagramForm:
 def _recognize_disjoint(
     diagram: CyclicDiagram, s1: ParaSymmetry, s2: ParaSymmetry
 ) -> DiagramForm:
+    from fractions import Fraction
+
     m_len = len(diagram)
     shift = (s2.axis - s1.axis) % m_len
     n = m_len // gcd(m_len, shift)

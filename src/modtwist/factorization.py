@@ -27,9 +27,8 @@ presentation yields the explicit pair
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cached_property, lru_cache
-from typing import Optional
 
 from .diagrams import _axis_reading, para_symmetries, reflection_symmetries
 from .errors import DomainError, VerificationError
@@ -39,7 +38,6 @@ from .psl2 import (
     R,
     X,
     Y,
-    ConjugacyClass,
     GroupElement,
     TwistVector,
     _classify_full,
@@ -69,19 +67,29 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """An ordered sequence of positive Dehn twists, with their twist vectors."""
+def _read_only(self, name, *value):
+    """Refuses to set or delete an attribute of a record that keeps some
+    beside its fields, in an instance dict (no __slots__)."""
+    raise AttributeError(f"cannot assign to {name!r} of a {type(self).__name__}")
 
-    factors: tuple[GroupElement, ...]
-    vectors: tuple[TwistVector, ...] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        vectors = tuple(map(twist_vector, self.factors))
+class Factorization(namedtuple("Factorization", "factors")):
+    """An ordered sequence of positive Dehn twists, with their twist vectors.
+
+    The one field is the factors, so equality and hashing are those of
+    (factors,); the twist vectors are kept beside them, read-only.
+    """
+
+    def __new__(cls, factors: tuple[GroupElement, ...]) -> "Factorization":
+        vectors = tuple(map(twist_vector, factors))
         if None in vectors:
-            bad = self.factors[vectors.index(None)]
+            bad = factors[vectors.index(None)]
             raise DomainError(f"factor {bad} is not a positive Dehn twist")
-        object.__setattr__(self, "vectors", vectors)
+        self = tuple.__new__(cls, (factors,))
+        self.__dict__["vectors"] = vectors
+        return self
+
+    __setattr__ = __delattr__ = _read_only
 
     @property
     def product(self) -> GroupElement:
@@ -122,8 +130,7 @@ def hurwitz_move(f: Factorization, i: int, direction: int = 1) -> Factorization:
     return Factorization(f.factors[: i - 1] + (dehn_twist(u), dehn_twist(v)) + f.factors[i + 1 :])
 
 
-@dataclass(frozen=True)
-class StrongClassLabel:
+class StrongClassLabel(namedtuple("StrongClassLabel", "kind axis anchor", defaults=(None, None))):
     """Label of a strong equivalence class of 2-factorizations.
 
     kind "full_group" is the class of (R, L^-1) with elliptic product;
@@ -132,9 +139,7 @@ class StrongClassLabel:
     the presentation L.L.A.L.L.At is read.
     """
 
-    kind: str
-    axis: Optional[int] = None
-    anchor: Optional[int] = None
+    __slots__ = ()
 
     def describe(self) -> str:
         if self.kind == "axis":
@@ -148,8 +153,7 @@ def _verify(fact: Factorization, g: GroupElement) -> Factorization:
     return fact
 
 
-@dataclass(frozen=True)
-class Analysis:
+class Analysis(namedtuple("Analysis", "element cls labels")):
     """Everything the 2-factorization queries of one element read.
 
     labels names the element's strong classes, one label each: full_group
@@ -157,12 +161,10 @@ class Analysis:
     para-symmetry of the class's cyclic diagram cls.diagram (negative
     parabolic or hyperbolic), or none (never 2-factorizable).  The class and
     the labels are computed at once; the canonical pairs on first use, and
-    are then kept on the record.
+    are then kept on the record (cached_property writes the instance dict).
     """
 
-    element: GroupElement
-    cls: ConjugacyClass
-    labels: tuple[StrongClassLabel, ...]
+    __setattr__ = __delattr__ = _read_only
 
     @cached_property
     def canonical(self) -> tuple[tuple[Factorization, StrongClassLabel], ...]:
@@ -309,8 +311,13 @@ def decide_weak_equivalence(f1: Factorization, f2: Factorization) -> bool:
     return bool(_walk(f2, [f1.conjugated_by(root**k) for k in range(1, n)]))
 
 
-@dataclass(frozen=True)
-class FactorizationRealityReport:
+class FactorizationRealityReport(
+    namedtuple(
+        "FactorizationRealityReport",
+        "applicable reason classes real_structure_count",
+        defaults=(None, (), None),
+    )
+):
     """Reality of the strong classes of 2-factorizations of one element.
 
     classes holds "real" or "swapped-with-partner" per strong class;
@@ -319,10 +326,7 @@ class FactorizationRealityReport:
     which admit both types of real structures.
     """
 
-    applicable: bool
-    reason: Optional[str] = None
-    classes: tuple[str, ...] = ()
-    real_structure_count: Optional[int] = None
+    __slots__ = ()
 
 
 def factorization_reality(g: GroupElement) -> FactorizationRealityReport:

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from typing import Optional
 
@@ -132,17 +132,11 @@ def shift(word: str, k: int = 1) -> str:
     return word[k:] + word[:k]
 
 
-@dataclass(frozen=True)
-class NecklaceStats:
-    circles: int
-    squares: int
-    right_arrows: int
-    left_arrows: int
-    betti: int
-    euler: int
-    essential: int
-    maximal: Optional[bool] = None
-    essential_obstruction: Optional[bool] = None
+_STATS_FIELDS = "circles squares right_arrows left_arrows betti euler essential maximal essential_obstruction"
+
+
+class NecklaceStats(namedtuple("NecklaceStats", _STATS_FIELDS, defaults=(None, None))):
+    __slots__ = ()
 
 
 def stats(word: str, k: Optional[int] = None, w: Optional[int] = None) -> NecklaceStats:
@@ -189,10 +183,8 @@ def stats(word: str, k: Optional[int] = None, w: Optional[int] = None) -> Neckla
     )
 
 
-@dataclass(frozen=True)
-class NecklaceClass:
-    category: str
-    representative: str
+class NecklaceClass(namedtuple("NecklaceClass", "category representative")):
+    __slots__ = ()
 
 
 def _orbit_cycles(word: str, category: str) -> list[str]:
@@ -244,14 +236,11 @@ def pendants(word: str, w: int) -> list[StrongClassLabel]:
     return strong_class_labels(m) if w == 2 else [_ONE_PENDANT[w]]
 
 
-@dataclass(frozen=True)
-class EnumerationResult:
-    k: int
-    w: int
-    category: str
-    count: int
-    representatives: tuple[tuple[str, str], ...]  # (stone word, pendant label)
-    elapsed: float
+class EnumerationResult(namedtuple("EnumerationResult", "k w category count representatives elapsed")):
+    """representatives are (stone word, pendant label) pairs; the field count
+    shadows tuple.count."""
+
+    __slots__ = ()
 
     def summary(self) -> dict:
         return {

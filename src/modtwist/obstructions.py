@@ -11,7 +11,7 @@ only its positivity is used, so we count directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .errors import BudgetError, DomainError
@@ -31,17 +31,13 @@ def trace_test(g: GroupElement) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class QuotientReport:
-    modulus: int
-    solvable: bool
-    solution_count: int
+class QuotientReport(namedtuple("QuotientReport", "modulus solvable solution_count")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.solvable != (self.solution_count > 0):
-            raise DomainError(
-                f"solvable={self.solvable} contradicts {self.solution_count} solutions"
-            )
+    def __new__(cls, modulus: int, solvable: bool, solution_count: int) -> "QuotientReport":
+        if solvable != (solution_count > 0):
+            raise DomainError(f"solvable={solvable} contradicts {solution_count} solutions")
+        return tuple.__new__(cls, (modulus, solvable, solution_count))
 
 
 @lru_cache(maxsize=None)

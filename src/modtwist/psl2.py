@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import groupby
 from operator import itemgetter
@@ -198,28 +198,27 @@ _X_SYLLABLES = frozenset({_X1, _X2})
 _Y_SYLLABLES = frozenset({_Y1})
 
 
-@dataclass(frozen=True)
-class SyllableWord:
+class SyllableWord(namedtuple("SyllableWord", "syllables")):
     """A reduced word in the free product Z3 * Z2.
 
     Syllables are ("X", 1), ("X", 2) or ("Y", 1); adjacent syllables come
     from different factors.
     """
 
-    syllables: tuple[tuple[str, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, syllables: tuple[tuple[str, int], ...]) -> "SyllableWord":
         # valid syllables alternate factors iff the even and the odd
         # positions each hold syllables of one factor: two set tests
-        even, odd = set(self.syllables[::2]), set(self.syllables[1::2])
+        even, odd = set(syllables[::2]), set(syllables[1::2])
         if (even <= _X_SYLLABLES and odd <= _Y_SYLLABLES) or (
             even <= _Y_SYLLABLES and odd <= _X_SYLLABLES
         ):
-            return
-        for (g1, _), (g2, _) in zip(self.syllables, self.syllables[1:]):
+            return tuple.__new__(cls, (syllables,))
+        for (g1, _), (g2, _) in zip(syllables, syllables[1:]):
             if g1 == g2:
                 raise DomainError("adjacent syllables from the same factor")
-        gen, exp = next(s for s in self.syllables if s not in _X_SYLLABLES | _Y_SYLLABLES)
+        gen, exp = next(s for s in syllables if s not in _X_SYLLABLES | _Y_SYLLABLES)
         raise DomainError(f"bad syllable ({gen}, {exp})")
 
     def __len__(self):
@@ -233,8 +232,7 @@ class SyllableWord:
         return " ".join(parts)
 
 
-@dataclass(frozen=True)
-class ConjugacyClass:
+class ConjugacyClass(namedtuple("ConjugacyClass", "kind diagram")):
     """Tagged conjugacy class of an element of PSL(2,Z).
 
     kind is one of "identity", "elliptic_order2", "elliptic_order3_pos",
@@ -243,16 +241,16 @@ class ConjugacyClass:
     cutting word as a cyclic diagram, of one letter or of both letters.
     """
 
-    kind: str
-    diagram: Optional[CyclicDiagram] = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        letters = self.diagram.letters if self.diagram else ""
+    def __new__(cls, kind: str, diagram: Optional[CyclicDiagram] = None) -> "ConjugacyClass":
+        letters = diagram.letters if diagram else ""
         both = "L" in letters and "R" in letters
-        if self.kind == "parabolic" and (both or not letters):
+        if kind == "parabolic" and (both or not letters):
             raise DomainError("parabolic class needs a one-letter cutting word")
-        if self.kind == "hyperbolic" and not both:
+        if kind == "hyperbolic" and not both:
             raise DomainError("hyperbolic cutting word must contain both letters")
+        return tuple.__new__(cls, (kind, diagram))
 
     @property
     def index(self) -> Optional[int]:
@@ -270,26 +268,21 @@ class ConjugacyClass:
         return self.kind
 
 
-@dataclass(frozen=True)
-class RealStructure:
+class RealStructure(namedtuple("RealStructure", "a b c d")):
     """An involutive element of PGL(2,Z) \\ PSL(2,Z): a det -1 matrix of order 2."""
 
-    a: int
-    b: int
-    c: int
-    d: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        a, b, c, d = self.a, self.b, self.c, self.d
+    def __new__(cls, a: int, b: int, c: int, d: int) -> "RealStructure":
         if a * d - b * c != -1:
             raise DomainError("real structure lift must have determinant -1")
         # det -1 rules out a == b == 0, so a or b is the first nonzero entry
         if a < 0 or (a == 0 and b < 0):
-            for name, entry in zip("abcd", (a, b, c, d)):
-                object.__setattr__(self, name, -entry)
+            a, b, c, d = -a, -b, -c, -d
         # at det -1, M^2 = (a + d) M + I, which is +-I (M is not scalar) iff a + d = 0
         if a + d:
             raise DomainError("real structure must square to the identity in PGL")
+        return tuple.__new__(cls, (a, b, c, d))
 
 
 # The displayed actions tau1^(L) = R^-1, tau1^(X) = X, tau2^(R) = R pin

@@ -14,7 +14,7 @@ canonical class, "right" for the second.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Union
 
 from .diagrams import _axis_reading, word_transpose
@@ -35,25 +35,24 @@ _BRANCH_TO_LETTER = str.maketrans("ud", "LR")
 _LETTER_TO_BRANCH = str.maketrans("LR", "ud")
 
 
-@dataclass(frozen=True)
-class PseudoTree:
+class PseudoTree(namedtuple("PseudoTree", "branches")):
     """Branch directions along the segment joining the two monogons."""
 
-    branches: str = ""
+    __slots__ = ()
 
-    def __post_init__(self):
-        if set(self.branches) - {"u", "d"}:
-            raise DomainError(f"branches must use letters u/d: {self.branches!r}")
+    def __new__(cls, branches: str = "") -> "PseudoTree":
+        if set(branches) - {"u", "d"}:
+            raise DomainError(f"branches must use letters u/d: {branches!r}")
+        return tuple.__new__(cls, (branches,))
 
 
-@dataclass(frozen=True)
-class MarkedPseudoTree:
-    tree: PseudoTree
-    marking: str  # "left" | "right"
+class MarkedPseudoTree(namedtuple("MarkedPseudoTree", "tree marking")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.marking not in ("left", "right"):
-            raise DomainError(f"marking must be left or right: {self.marking!r}")
+    def __new__(cls, tree: PseudoTree, marking: str) -> "MarkedPseudoTree":
+        if marking not in ("left", "right"):
+            raise DomainError(f"marking must be left or right: {marking!r}")
+        return tuple.__new__(cls, (tree, marking))
 
 
 FULL_GROUP = "full_group"

@@ -20,6 +20,18 @@ def test_import_loads_no_numpy():
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
+def test_the_cli_import_loads_no_heavy_module():
+    # records are namedtuple subclasses and fractions loads on the
+    # disjoint-axes path only, so start-up pays for none of these
+    env = dict(os.environ, PYTHONPATH=str(Path(modtwist.__file__).parent.parent))
+    heavy = ["numpy", "dataclasses", "inspect", "fractions", "decimal"]
+    code = f"import modtwist.cli, sys; print([m for m in {heavy!r} if m in sys.modules])"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, check=True, timeout=60, capture_output=True, text=True
+    )
+    assert done.stdout.strip() == "[]"
+
+
 def test_no_runtime_dependencies():
     tomllib = pytest.importorskip("tomllib")
     pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
