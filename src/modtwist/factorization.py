@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import cached_property, lru_cache
+from itertools import accumulate, repeat
 
 from .diagrams import _axis_reading, para_symmetries, reflection_symmetries
 from .errors import DomainError, VerificationError
@@ -147,6 +148,11 @@ class StrongClassLabel(namedtuple("StrongClassLabel", "kind axis anchor", defaul
         return self.kind
 
 
+_L_INVERSE = L.inverse()
+# the first twist of every axis pair, X L^-1 X^-1 (module docstring)
+_AXIS_FIRST = X * _L_INVERSE * X.inverse()
+
+
 def _verify(fact: Factorization, g: GroupElement) -> Factorization:
     if fact.product != g:
         raise VerificationError(f"canonical factorization multiplies to {fact.product}, not {g}")
@@ -176,17 +182,16 @@ class Analysis(namedtuple("Analysis", "element cls labels")):
         # g = h^-1 * rep * h, rep X = R L^-1, R^2 or evaluate(diagram.letters)
         _, h, _ = _classify_full(self.element)
         if label.kind != "axis":
-            return pair(R, L.inverse() if label.kind == "full_group" else R).conjugated_by(h)
+            return pair(R, _L_INVERSE if label.kind == "full_group" else R).conjugated_by(h)
         diagram = self.cls.diagram
         rotated = diagram.rotated(label.anchor)
-        first = X * L.inverse() * X.inverse()
         wing = Y * _run_product(_axis_reading(diagram, label.anchor)) * X
-        second = wing * L.inverse() * wing.inverse()
-        if first * second != _run_product(rotated):
+        second = _L_INVERSE.conjugated_by(wing.inverse())  # wing * L^-1 * wing^-1
+        if _AXIS_FIRST * second != _run_product(rotated):
             raise VerificationError(f"the pair read at axis {label.axis} does not give {rotated}")
         # g = (prefix^-1 h)^-1 * evaluate(rotated) * (prefix^-1 h)
         prefix = _run_product(diagram.letters[: label.anchor])
-        return pair(first, second).conjugated_by(prefix.inverse() * h)
+        return pair(_AXIS_FIRST, second).conjugated_by(prefix.inverse() * h)
 
     def locate(self, fact: Factorization) -> int:
         """Index of the one canonical strong class that holds the pair fact."""
@@ -308,7 +313,8 @@ def decide_weak_equivalence(f1: Factorization, f2: Factorization) -> bool:
     if decide_strong_equivalence(f1, f2):
         return True
     root, n = primitive_root(g)
-    return bool(_walk(f2, [f1.conjugated_by(root**k) for k in range(1, n)]))
+    powers = accumulate(repeat(root, n - 1), GroupElement.__mul__)  # root, ..., root^(n - 1)
+    return bool(_walk(f2, [f1.conjugated_by(power) for power in powers]))
 
 
 class FactorizationRealityReport(

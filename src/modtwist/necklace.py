@@ -56,7 +56,6 @@ from .psl2 import (
     TAU1,
     GroupElement,
     evaluate,
-    product,
     real_involution,
     twist_vector,
 )
@@ -305,9 +304,13 @@ def _block_monodromies() -> dict[str, GroupElement]:
 def _stone_product(word: str) -> GroupElement:
     """The monodromy of a stone word (unvalidated; "" gives IDENTITY): the
     product of its blocks of _BLOCK stones, each looked up in
-    _block_monodromies."""
+    _block_monodromies, multiplied as integers."""
     block = _block_monodromies()
-    return product([block[word[i : i + _BLOCK]] for i in range(0, len(word), _BLOCK)])
+    a, b, c, d = block[word[:_BLOCK]]
+    for i in range(_BLOCK, len(word), _BLOCK):
+        e, f, g, h = block[word[i : i + _BLOCK]]
+        a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+    return GroupElement(a, b, c, d)
 
 
 def _padded_keys(levels: tuple, m: int) -> dict[str, str]:

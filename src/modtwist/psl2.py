@@ -24,9 +24,12 @@ entry in reading order (a, b, c, d) is positive.  A GroupElement is an
 immutable tuple of those entries, so ``a, b, c, d = g`` unpacks it and
 ``g == (a, b, c, d)`` holds; a TwistVector is the tuple (p, q) likewise.
 The tuple's concatenation, repetition and ordering raise TypeError, and
-``g * h`` is the group product.  Python integers are unbounded, so no
-overflow handling is needed anywhere; an element whose normal form would
-exceed QUOTIENT_SUM_CAP L-steps is refused with BudgetError.
+``g * h`` is the group product.  The products the package builds itself
+(runs of L and R, parsed words, conjugates, real involutions, stone
+words) multiply the entries as integers and build one checked element
+per result.  Python integers are unbounded, so no overflow handling is
+needed anywhere; an element whose normal form would exceed
+QUOTIENT_SUM_CAP L-steps is refused with BudgetError.
 
 A parabolic or hyperbolic ConjugacyClass holds its cutting word as a
 CyclicDiagram, rotated to its least rotation once per element; the
@@ -39,7 +42,6 @@ import math
 import re
 from collections import namedtuple
 from functools import lru_cache
-from itertools import groupby
 from operator import itemgetter
 from typing import Optional
 
@@ -118,19 +120,22 @@ class GroupElement(tuple):
         return GroupElement(d, -b, -c, a)
 
     def __pow__(self, n: int) -> "GroupElement":
-        base = self if n >= 0 else self.inverse()
-        n = abs(n)
-        result = IDENTITY
-        while n:
-            if n & 1:
+        if not n:
+            return IDENTITY
+        base = result = self if n > 0 else self.inverse()
+        # square and multiply from the bit below the top one
+        for bit in bin(abs(n))[3:]:
+            result = result * result
+            if bit == "1":
                 result = result * base
-            base = base * base
-            n >>= 1
         return result
 
     def conjugated_by(self, h: "GroupElement") -> "GroupElement":
-        """h^-1 * self * h."""
-        return h.inverse() * self * h
+        """h^-1 * self * h, with h^-1 = (s, -q, -r, p)."""
+        a, b, c, d = self
+        p, q, r, s = h
+        a, b, c, d = s * a - q * c, s * b - q * d, p * c - r * a, p * d - r * b
+        return GroupElement(a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s)
 
     @property
     def trace(self) -> int:
@@ -309,20 +314,34 @@ def evaluate(word: str) -> GroupElement:
     pos = m.end() if m else 0
     if pos != len(word):
         raise ParseError(f"unexpected input at position {pos}: {word[pos:]!r}")
-    runs: list[list] = []  # [generator, summed exponent] per run of one generator
+    a, b, c, d = 1, 0, 0, 1
     for gen, digits in _WORD_TOKEN.findall(word):
-        exp = _int_literal(digits) if digits else 1
-        if runs and runs[-1][0] == gen:
-            runs[-1][1] += exp
+        k = _int_literal(digits) if digits else 1
+        # times L^k = [[1, k], [0, 1]] or R^k = [[1, 0], [k, 1]]
+        if gen == "L":
+            b, d = b + k * a, d + k * c
+        elif gen == "R":
+            a, c = a + k * b, c + k * d
         else:
-            runs.append([gen, exp])
-    return product(_generator_power(gen, exp) for gen, exp in runs)
+            e, f, g, h = _X_POWERS[k % 3] if gen == "X" else Y if k % 2 else IDENTITY
+            a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+    return GroupElement(a, b, c, d)
+
+
+_LR_RUN = re.compile("L+|R+")
 
 
 def _run_product(letters: str) -> GroupElement:
     """evaluate(letters) for a word over L and R that the package built:
     one closed-form power per run of a letter, and no parsing."""
-    return product(_generator_power(gen, len(list(run))) for gen, run in groupby(letters))
+    a, b, c, d = 1, 0, 0, 1
+    for run in _LR_RUN.findall(letters):
+        k = len(run)
+        if run[0] == "L":
+            b, d = b + k * a, d + k * c
+        else:
+            a, c = a + k * b, c + k * d
+    return GroupElement(a, b, c, d)
 
 
 def _int_literal(digits: str) -> int:
@@ -333,18 +352,6 @@ def _int_literal(digits: str) -> int:
         raise ParseError(
             f"integer literal of {len(digits.lstrip('-'))} digits exceeds the digit limit"
         ) from None
-
-
-def _generator_power(gen: str, exp: int) -> GroupElement:
-    """gen^exp in closed form: L^k and R^k are unipotent, X and Y have
-    order 3 and 2 in PSL(2,Z)."""
-    if gen == "L":
-        return GroupElement(1, exp, 0, 1)
-    if gen == "R":
-        return GroupElement(1, 0, exp, 1)
-    if gen == "X":
-        return _X_POWERS[exp % 3]
-    return Y if exp % 2 else IDENTITY
 
 
 _MATRIX = re.compile(
@@ -542,9 +549,11 @@ def twist_vector(g: GroupElement) -> Optional[TwistVector]:
 
 def real_involution(tau: RealStructure, g: GroupElement) -> GroupElement:
     """The involutive anti-automorphism g -> tau * g^-1 * tau."""
-    # determinant (-1) * 1 * (-1) = 1
-    t = (tau.a, tau.b, tau.c, tau.d)
-    return product((t, g.inverse(), t))
+    # determinant (-1) * 1 * (-1) = 1; g^-1 = (d, -b, -c, a)
+    a, b, c, d = g
+    p, q, r, s = tau
+    a, b, c, d = p * d - q * c, q * a - p * b, r * d - s * c, s * a - r * b
+    return GroupElement(a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s)
 
 
 def is_real_element(g: GroupElement) -> bool:

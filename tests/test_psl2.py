@@ -38,6 +38,7 @@ from modtwist.psl2 import (
     real_involution,
     twist_vector,
 )
+from oracle import projective, word_matrix
 
 
 def test_generator_matrices():
@@ -357,7 +358,7 @@ def test_syllable_powers_are_the_generator_powers():
     # _classify_full multiplies its peeled prefix and its elliptic remainder
     # through this table
     for syllable, power in psl2._SYLLABLE_POWER.items():
-        assert power == psl2._generator_power(*syllable)
+        assert power == projective(word_matrix([syllable]))
     assert set(psl2._SYLLABLE_POWER) == set(normal_form(evaluate("L R^-2 L^3 R")).syllables)
 
 
