@@ -18,20 +18,7 @@ are (diagram, strong-class) pairs, and the pair orbits over a word orbit
 are read off the action of the orbit-minimal word's stabilizer on its
 classes (see _stabilizer_swaps); for w <= 1 every word carries the one
 label of its weight.  The filter joins the half-words over their distinct
-monodromies, deciding the condition once per pair of them; a head h
-meets only the tails keyed above it, and an exact test on each joined
-word keeps the orbit minima (see _pendant_words).  The keys, least padded
-windows by a suffix recursion, leave open only the rotations at a border
-of h and those in a tail half that holds h or ends with a proper prefix
-h[:i] of h.  A word is dropped where the h (or inverse(h)) after such an
-end reads below h[i:].  At a border i of h (h[i:] a prefix of h) the
-rotation reads t[:i] where x = h + t reads h[m - i:], so the tail alone
-drops the word when t is below that suffix, and a t starting with it
-leaves the rotation above x; inverse(t) drops the word the same way at an
-inverse border and flags it when it starts with the suffix.  A flagged
-word, or one whose tail half holds h or reads h[i:] after such an end, is
-checked against the borders of h and every rotation in a tail half; the
-rest are kept.
+monodromies and keeps exactly the orbit minima (see _pendant_words).
 """
 
 from __future__ import annotations
@@ -270,14 +257,15 @@ def _next_histogram(level: dict[GroupElement, tuple[str, ...]]) -> dict[GroupEle
 
 
 # the half tables depend only on the alphabet.  Reached through
-# enumerate_classes, the k <= 2 cap bounds them to lengths up to 6 and six
-# (length, m) pairs; a direct call with a larger size adds its entry.  They
-# are shared and read-only; the word groups are tuples, which the collector
-# stops tracking.
+# enumerate_classes, the k <= 2 cap bounds them to lengths up to 6; a
+# direct call with a larger length adds its entry.  They are shared and
+# read-only; the word groups are tuples, which the collector stops tracking.
 @lru_cache(maxsize=None)
-def _stone_histograms(length: int) -> tuple[dict[GroupElement, tuple[str, ...]], ...]:
-    """(H_0, ..., H_length): H_d groups the stone words of length d by
-    their monodromy.
+def _stone_histograms(length: int) -> tuple[tuple[dict[GroupElement, tuple[str, ...]], ...], dict[str, str]]:
+    """(levels, key): levels = (H_0, ..., H_length), where H_d groups the
+    stone words of length d by their monodromy, and key[s] for each of
+    those words s is its least padded suffix, by the suffix recursion
+    K("") = PAD and K(c + u) = min(c + u + PAD, K(u)).
 
     A dynamic programme over distinct monodromies (see _next_histogram),
     each length built on the shared levels of the one below, so H_d holds
@@ -285,9 +273,10 @@ def _stone_histograms(length: int) -> tuple[dict[GroupElement, tuple[str, ...]],
     and not proven (609 for the 4,096 words of length 6).
     """
     if not length:
-        return ({IDENTITY: ("",)},)
-    shorter = _stone_histograms(length - 1)
-    return shorter + (_next_histogram(shorter[-1]),)
+        return ({IDENTITY: ("",)},), {"": _PAD}
+    shorter, key = _stone_histograms(length - 1)
+    level = _next_histogram(shorter[-1])
+    return shorter + (level,), {**key, **{s: min(s + _PAD, key[s[1:]]) for ws in level.values() for s in ws}}
 
 
 _BLOCK = 5  # stones per lookup of _stone_product
@@ -296,9 +285,9 @@ _BLOCK = 5  # stones per lookup of _stone_product
 @lru_cache(maxsize=None)
 def _block_monodromies() -> dict[str, GroupElement]:
     """Every stone word of up to _BLOCK letters ("" included, 1,365 words)
-    mapped to its monodromy: _stone_histograms(_BLOCK) inverted, once per
-    process."""
-    return {s: g for level in _stone_histograms(_BLOCK) for g, ws in level.items() for s in ws}
+    mapped to its monodromy: the levels of _stone_histograms(_BLOCK)
+    inverted, once per process."""
+    return {s: g for level in _stone_histograms(_BLOCK)[0] for g, ws in level.items() for s in ws}
 
 
 def _stone_product(word: str) -> GroupElement:
@@ -311,26 +300,6 @@ def _stone_product(word: str) -> GroupElement:
         e, f, g, h = block[word[i : i + _BLOCK]]
         a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
     return GroupElement(a, b, c, d)
-
-
-def _padded_keys(levels: tuple, m: int) -> dict[str, str]:
-    """key[s] for the stone words s of the sizes 1 to m and len(levels) - 1
-    of _stone_histograms' levels: the least window of m + 1 letters of
-    s + PAD that starts in s.  By the suffix recursion K("") = PAD and
-    K(c + u) = min(c + u + PAD, K(u)), the least padded suffix: a size-m
-    half's key; a size-(m + 1) tail's windows are t and those of t[1:]."""
-    key = {"": _PAD}
-    for level in levels[1 : m + 1]:
-        key.update({s: min(s + _PAD, key[s[1:]]) for ws in level.values() for s in ws})
-    if len(levels) > m + 1:
-        key.update({t: min(t, key[t[1:]]) for ws in levels[m + 1].values() for t in ws})
-    return key
-
-
-@lru_cache(maxsize=None)
-def _half_keys(length: int, m: int) -> dict[str, str]:
-    """_padded_keys on the levels of _stone_histograms(length)."""
-    return _padded_keys(_stone_histograms(length), m)
 
 
 def _inverse_keys(halves: tuple, key: dict[str, str]) -> tuple[dict[str, str], dict[str, str]]:
@@ -350,21 +319,21 @@ def _pendant_words(n: int, w: int, category: str) -> dict[str, GroupElement]:
     and both keep a product of two positive twists one.  So an orbit's
     minimum x = h + t (|h| = m = n // 2 <= |t|) is a pendant word, and every
     rotation of x and, nonoriented, of y = inverse(h) + inverse(t) starts
-    with m letters no less than h.  Where one starts inside a half s, the
-    window of m + 1 letters of s + PAD is then above h, as PAD sorts after
-    every stone.  So the key of a half, its least such window (or its
+    with m letters no less than h.  Where one starts at offset j of a half
+    s, the padded suffix s[j:] + PAD is then above h, as PAD sorts after
+    every stone.  So the key of a half, its least padded suffix (or its
     inverse's, if less), is above h for the head, a prenecklace, and for
     the tail.
 
     The key bounds the rotations.  Let a rotation start at offset j of a
     half s whose key is above h, and let p be the up to m letters of s
-    from j.  Unless p is a prefix of h, the window of s + PAD at j, which
-    starts with p and is above h, first differs from h inside p, and
-    there p is the greater: the rotation is above x.  So the only
-    rotations that can be no greater than x start at a head suffix that
-    is a prefix of h (the head's borders, fixed per head), or in a tail
-    half s (t, or nonoriented inverse(t)) where h occurs in s or where s
-    ends with a proper prefix of h.
+    from j.  Unless p is a prefix of h, s[j:] + PAD, which starts with p
+    and is above h, first differs from h inside p, and there p is the
+    greater: the rotation is above x.  So the only rotations that can be
+    no greater than x start at a head suffix that is a prefix of h (the
+    head's borders, fixed per head), or in a tail half s (t, or
+    nonoriented inverse(t)) where h occurs in s or where s ends with a
+    proper prefix of h.
 
     Such a prefix decides its rotation outright.  If a tail half s ends
     with h[:i] (0 < i < m), the rotation from there reads h[:i] + c + ...,
@@ -389,27 +358,26 @@ def _pendant_words(n: int, w: int, category: str) -> dict[str, GroupElement]:
     exceeds x's e + t[i:] (tests/test_necklace.py checks every case up to
     n = 13).
 
-    The halves come from the histogram of their monodromies, their keys
-    from _half_keys; both tables are shared by every call of a process.
-    A head joins the tails of a monodromy keyed above it (bisect_right on
-    the keys, sorted when a head group first reaches it); a pair of
-    monodromies whose greatest tail key is not above its least head is
-    skipped before its product, and the condition is decided once per
-    pair of them; for w = 0 the only partner is the inverse.  A head
-    group's rows are built once it passes that guard.  A joined x is
-    dropped if t is below the greatest of the head's border suffixes
-    (inverse(t) of its inverse ones, or below t for h = inverse(h)), or a
-    tail half ends in a prefix after which c[:m - i] < h[i:].  It is
-    flagged if h occurs in a tail half, c[:m - i] = h[i:] after one, or
-    inverse(t) starts with an inverse border's suffix.  A flagged x is
-    kept iff it is no greater than its rotations at the head's borders and
-    every rotation that starts in a tail half; an unflagged x is kept, as
-    all its other rotations are above it: exactly the orbit minima.
+    The halves, grouped by their monodromies, and their keys come from
+    _stone_histograms, shared by every call of a process.  A head joins
+    the tails of a monodromy keyed above it (bisect_right on the keys,
+    sorted when a head group first reaches it); a pair of monodromies
+    whose greatest tail key is not above its least head is skipped before
+    its product, and the condition is decided once per pair of them; for
+    w = 0 the only partner is the inverse.  A head group's rows are built
+    once it passes that guard.  A joined x is dropped if t is below the
+    greatest of the head's border suffixes (inverse(t) of its inverse
+    ones, or below t for h = inverse(h)), or a tail half ends in a prefix
+    after which c[:m - i] < h[i:].  It is flagged if h occurs in a tail
+    half, c[:m - i] = h[i:] after one, or inverse(t) starts with an
+    inverse border's suffix.  A flagged x is kept iff it is no greater
+    than its rotations at the head's borders and every rotation that
+    starts in a tail half; an unflagged x is kept, as all its other
+    rotations are above it: exactly the orbit minima.
     """
     m = n // 2
     nonoriented = category == "nonoriented"
-    levels = _stone_histograms(n - m)
-    key, inv = _half_keys(n - m, m), {}
+    (levels, key), inv = _stone_histograms(n - m), {}
     if nonoriented:
         key, inv = _inverse_keys(levels[m:], key)
 
@@ -417,12 +385,8 @@ def _pendant_words(n: int, w: int, category: str) -> dict[str, GroupElement]:
     in_tails = [slice(c + i, c + i + n) for c in (0, 2 * n)[: 1 + nonoriented] for i in range(m, n)]
 
     def head(h: str) -> tuple:
-        """The row of head h: h, inverse(h); the drop tests: the greatest
-        suffix h[m - i:] at a border i and at an inverse border, whether
-        h = inverse(h), and the prefixes h[:i] whose end in t or in
-        inverse(t) drops x; the flag tests: the suffixes at the inverse
-        borders, and the prefixes whose end flags x; the rotations open at
-        a flagged x."""
+        """The row of head h: (h, inverse(h), top, itop, mirror, kill,
+        ikill, iends, keep, ikeep, the rotations open at a flagged x)."""
         ih = inv.get(h, "")
         top, itop, kill, keep, ikill, ikeep, iends, borders = "", "", [], [], [], [], [], []
         for i in range(1, m):

@@ -1,9 +1,12 @@
 """Test-side oracles: every twist-pair product in a box, by brute force,
-the monodromy of a stone word one stone at a time, and a plain 2x2
-integer matrix product that shares no code with psl2's kernels."""
+the monodromy of a stone word one stone at a time, a plain 2x2 integer
+matrix product that shares no code with psl2's kernels, and a half-word
+join that decides each joined word by its rotations."""
 
+from bisect import bisect_right
+from itertools import product
 from math import gcd
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from modtwist.psl2 import GroupElement, TwistVector, dehn_twist
 
@@ -89,3 +92,63 @@ def stone_monodromy(word: str) -> GroupElement:
     matrix_product: the reference for necklace.monodromy, which multiplies
     blocks of the shared word tables."""
     return GroupElement(*projective(matrix_product(map(STONE_MATRICES.__getitem__, word))))
+
+
+PAD = "\x7f"  # sorts after every stone letter: read after the end of a half-word
+_TURN_ARROWS = str.maketrans("<>", "><")
+
+
+def stone_inverse(word: str) -> str:
+    """The inverse diagram of a stone word: reversed, each arrow turned."""
+    return word[::-1].translate(_TURN_ARROWS)
+
+
+def reference_join(n: int, condition: Callable[[GroupElement], bool], nonoriented: bool) -> dict[str, GroupElement]:
+    """The orbit minima among stone words of length n whose monodromy meets
+    condition, each mapped to its monodromy: the reference for
+    necklace._pendant_words, which decides most joined words by rule.
+
+    An orbit minimum x = h + t (|h| = n // 2) has both halves keyed above
+    h, a half's key being its least padded suffix (nonoriented, the lesser
+    of its own and its inverse's), each key taken from that definition.
+    The halves are grouped by stone_monodromy, condition is decided once
+    per pair of groups that holds a tail keyed above a head, and each x
+    whose halves are keyed above h is kept iff no rotation of x + x
+    (nonoriented, also of y + y, y = inverse(h) + inverse(t)) is below x.
+    """
+    m = n // 2
+
+    def key(half: str) -> str:
+        reads = (half, stone_inverse(half)) if nonoriented else (half,)
+        return min(s[j:] + PAD for s in reads for j in range(len(s)))
+
+    def grouped(size: int) -> dict[GroupElement, list[tuple[str, str]]]:
+        groups: dict[GroupElement, list[tuple[str, str]]] = {}
+        for half in map("".join, product("OS><", repeat=size)):
+            groups.setdefault(stone_monodromy(half), []).append((key(half), half))
+        return groups
+
+    halves = grouped(m)
+    tails = []
+    for gr, group in (halves if n == 2 * m else grouped(n - m)).items():
+        keys, ts = zip(*sorted(group))
+        tails.append((gr, keys, ts))
+    rotations = [slice(i, i + n) for i in range(n)]
+    found = {}
+    for gl, heads in halves.items():
+        if not (hs := [h for k, h in heads if k > h]):
+            continue
+        least = min(hs)
+        for gr, keys, ts in tails:
+            if keys[-1] <= least or not condition(g := gl * gr):
+                continue
+            for h in hs:
+                ih = stone_inverse(h)
+                for t in ts[bisect_right(keys, h) :]:
+                    x = h + t
+                    if min(map((x + x).__getitem__, rotations)) < x:
+                        continue
+                    if nonoriented and min(map((2 * (ih + stone_inverse(t))).__getitem__, rotations)) < x:
+                        continue
+                    found[x] = g
+    return found

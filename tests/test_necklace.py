@@ -14,14 +14,13 @@ from modtwist.factorization import (
     analyze,
     canonical_2factorizations,
     decide_strong_equivalence,
+    exists_2factorization,
 )
 from modtwist.necklace import (
     _PAD,
     CATEGORIES,
-    _half_keys,
     _inverse_keys,
     _next_histogram,
-    _padded_keys,
     _pendant_words,
     _stone_histograms,
     canonicalize,
@@ -44,7 +43,7 @@ from modtwist.psl2 import (
     real_involution,
     twist_vector,
 )
-from oracle import stone_monodromy
+from oracle import reference_join, stone_monodromy
 
 STONES = "OS><"
 
@@ -418,7 +417,8 @@ def test_orbit_minima_have_tail_keys_above_the_head(word, category):
 
 def _key(half, m, category):
     """The least window of m + 1 letters of half + PAD (or of its inverse's,
-    if less) that starts in the half."""
+    if less) that starts in the half: for m >= len(half), its least padded
+    suffix."""
     halves = [half, inverse(half)] if category == "nonoriented" else [half]
     return min((s + _PAD)[j : j + m + 1] for s in halves for j in range(len(s)))
 
@@ -583,32 +583,55 @@ def test_a_tail_starting_with_a_border_suffix_leaves_the_rotation_above(n):
 
 
 def _fresh_histograms(length):
-    """_stone_histograms(length) built level by level, outside its memo."""
-    levels = [{IDENTITY: ("",)}]
+    """_stone_histograms(length) built level by level, outside its memo:
+    the levels by _next_histogram, the keys by the suffix recursion."""
+    levels, key = [{IDENTITY: ("",)}], {"": _PAD}
     while len(levels) <= length:
         levels.append(_next_histogram(levels[-1]))
-    return tuple(levels)
+        key.update({s: min(s + _PAD, key[s[1:]]) for ws in levels[-1].values() for s in ws})
+    return tuple(levels), key
 
 
 @pytest.mark.parametrize("category", ["nonoriented", "oriented"])
 def test_half_keys_are_the_least_padded_windows(category):
-    # the suffix recursion gives _key on every stone word of length 1-7: as
-    # a size-m half (the heads', and even n's tails), and as a size-(m + 1)
-    # tail of odd n; the memo holds the oriented keys up to length 6
+    # the suffix recursion gives every stone word of length 1-7 its least
+    # padded suffix (nonoriented, the lesser of its own and its inverse's):
+    # _key with a window of one letter more than the word.  The package's
+    # length-7 build, outside the memo but on its length-6 entry, equals
+    # the fresh one
     nonoriented = category == "nonoriented"
-    levels = _fresh_histograms(7)
-    for m in range(1, 8):
-        for size in (m, m + 1) if m < 7 else (m,):
-            key, inv = _padded_keys(levels[: size + 1], m), {}
-            if size <= 6:
-                assert _half_keys(size, m) == key, (size, m)
-            if nonoriented:
-                key, inv = _inverse_keys(levels[m : size + 1], key)
-            for words in levels[size].values():
-                for word in words:
-                    assert key[word] == _key(word, m, category), (m, word)
-                    if nonoriented:
-                        assert inv[word] == inverse(word)
+    levels, key = _fresh_histograms(7)
+    assert _stone_histograms.__wrapped__(7) == (levels, key)
+    inv = {}
+    if nonoriented:
+        key, inv = _inverse_keys(levels[1:], key)
+    for level in levels[1:]:
+        for words in level.values():
+            for word in words:
+                assert key[word] == _key(word, len(word), category), word
+                if nonoriented:
+                    assert inv[word] == inverse(word)
+
+
+@pytest.mark.parametrize("category", ["nonoriented", "oriented"])
+def test_a_tail_key_reads_as_its_window_key_against_every_head(category):
+    # the lemma that lets a size-(m + 1) tail of odd n take the key of every
+    # other word, its least padded suffix, where the join was first stated
+    # with its least window of m + 1 letters: the padded key is that window
+    # key, or that key + PAD when the window is the whole tail, and each
+    # size-m head is below the one iff below the other.  So the tails keyed
+    # above a head, the bisection on the sorted keys and the guard on the
+    # greatest key are the same under either key.  Every tail and head for
+    # m up to 4
+    for m in range(1, 5):
+        levels, key = _stone_histograms(m + 1)
+        if category == "nonoriented":
+            key, _ = _inverse_keys(levels[m:], key)
+        heads = list(map("".join, itertools.product(STONES, repeat=m)))
+        for tail in map("".join, itertools.product(STONES, repeat=m + 1)):
+            window = _key(tail, m, category)
+            assert key[tail] in (window, window + _PAD), tail
+            assert all((head < key[tail]) == (head < window) for head in heads), tail
 
 
 def test_stone_histograms_group_every_word_by_its_monodromy():
@@ -618,9 +641,9 @@ def test_stone_histograms_group_every_word_by_its_monodromy():
     fib = [0, 1]
     while len(fib) < 22:
         fib.append(fib[-2] + fib[-1])
-    levels = _fresh_histograms(9)
-    assert _stone_histograms(0) == ({IDENTITY: ("",)},)
-    assert _stone_histograms(6) == levels[:7]
+    levels, _ = _fresh_histograms(9)
+    assert _stone_histograms(0) == (({IDENTITY: ("",)},), {"": _PAD})
+    assert _stone_histograms(6) == _fresh_histograms(6)
     for d, level in enumerate(levels):
         assert len(level) == fib[2 * d + 3] - 1, d
         assert sum(map(len, level.values())) == 4**d, d
@@ -634,8 +657,8 @@ def test_stone_histograms_group_every_word_by_its_monodromy():
 
 def test_the_shared_half_tables_stay_intact():
     # both categories of k = 1 (w <= 2) and of k = 2, w = 0 read the shared
-    # _stone_histograms and _half_keys in one process: each run keeps its
-    # pinned representatives, and the memoized tables still equal a fresh
+    # _stone_histograms in one process: each run keeps its pinned
+    # representatives, and the memoized levels and keys still equal a fresh
     # build, so no enumeration changed them
     pinned = {(1, w, category): digest for (w, category), (_, digest) in K1_TSV.items()}
     pinned.update({(2, 0, category): K2_TSV[0, category][1] for category in ("nonoriented", "oriented")})
@@ -643,10 +666,19 @@ def test_the_shared_half_tables_stay_intact():
         reps = enumerate_classes(k, w, category).representatives
         tsv = "".join(f"{word}\t{label}\n" for word, label in reps)
         assert hashlib.sha256(tsv.encode()).hexdigest() == digest, (k, w, category)
-    fresh = _fresh_histograms(6)
-    for length, m in [(3, 3), (3, 2), (2, 2), (6, 6), (6, 5), (5, 5)]:
-        assert _stone_histograms(length) == fresh[: length + 1]
-        assert _half_keys(length, m) == _padded_keys(fresh[: length + 1], m), (length, m)
+    for length in range(7):
+        assert _stone_histograms(length) == _fresh_histograms(length), length
+
+
+@pytest.mark.parametrize("category", ["nonoriented", "oriented"])
+@pytest.mark.parametrize("w", [1, 2])
+def test_pendant_words_match_the_reference_join_at_k2(w, category):
+    # the rule-decided join against one that keeps a joined word iff none
+    # of its rotations is below it: at n = 12 - w, past the brute force's
+    # n <= 8, where only the --out digests pinned these cases
+    condition = exists_2factorization if w == 2 else lambda g: twist_vector(g) is not None
+    expected = reference_join(12 - w, condition, category == "nonoriented")
+    assert _pendant_words(12 - w, w, category) == expected
 
 
 @pytest.mark.parametrize("category", ["nonoriented", "oriented"])
@@ -763,10 +795,6 @@ def test_enumeration_representatives_are_canonical():
 
 def test_arrowless_two_pendant_words_have_paired_r_runs():
     # without arrow stones a 2-factorizable monodromy has even R-runs
-    import itertools
-
-    from modtwist.factorization import exists_2factorization
-
     checked = 0
     for word_tuple in itertools.product("OS", repeat=10):
         word = "".join(word_tuple)

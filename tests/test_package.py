@@ -84,22 +84,20 @@ def _modules():
 
 
 # every lru_cache of the package; all but the per-modulus, the half-table
-# and the block-table ones are keyed by an element or a word, and
-# conftest's _clear_memos empties those.  The kept ones depend only on the
-# modulus or on the stone alphabet.
+# (levels and keys) and the block-table ones are keyed by an element or a
+# word, and conftest's _clear_memos empties those.  The kept ones depend
+# only on the modulus or on the stone alphabet.
 MEMOS = {
     "modtwist.psl2._classify_full",
     "modtwist.factorization.analyze",
     "modtwist.mcurve._cutting_diagram",
     "modtwist.obstructions._twist_class_mod",
     "modtwist.necklace._stone_histograms",
-    "modtwist.necklace._half_keys",
     "modtwist.necklace._block_monodromies",
 }
 KEPT = {
     "modtwist.obstructions._twist_class_mod",
     "modtwist.necklace._stone_histograms",
-    "modtwist.necklace._half_keys",
     "modtwist.necklace._block_monodromies",
 }
 
