@@ -366,14 +366,32 @@ def _pendant_words(n: int, w: int, category: str) -> dict[str, GroupElement]:
     its product, and the condition is decided once per pair of them; for
     w = 0 the only partner is the inverse.  A head group's rows are built
     once it passes that guard.  A joined x is dropped if t is below the
-    greatest of the head's border suffixes (inverse(t) of its inverse
-    ones, or below t for h = inverse(h)), or a tail half ends in a prefix
-    after which c[:m - i] < h[i:].  It is flagged if h occurs in a tail
-    half, c[:m - i] = h[i:] after one, or inverse(t) starts with an
-    inverse border's suffix.  A flagged x is kept iff it is no greater
-    than its rotations at the head's borders and every rotation that
-    starts in a tail half; an unflagged x is kept, as all its other
-    rotations are above it: exactly the orbit minima.
+    greatest of the head's border suffixes (top), inverse(t) below the
+    greatest of its inverse ones (itop) or, for h = inverse(h), below t
+    (mirror), or if t ends in a prefix h[:i] of h with h[i:] no border
+    (kill) or inverse(t) in one after which inverse(h)[:m - i] < h[i:]
+    (ikill).  It is flagged if h occurs in a tail half, inverse(t) starts
+    with an inverse border's suffix (iends), or c[:m - i] = h[i:] after a
+    tail half's prefix h[:i] (keep after t, ikeep after inverse(t)).  A
+    flagged x is kept iff it is no greater than its rotations at the
+    head's borders and every rotation that starts in a tail half; an
+    unflagged x is kept, as all its other rotations are above it: exactly
+    the orbit minima.  The check reads no rotation at the start of y for
+    h = inverse(h): y = h + inverse(t), and mirror keeps only the x with
+    inverse(t) >= t, so y >= x.
+
+    Each rule's lemma test in tests/test_necklace.py:
+      top, itop, mirror: test_a_border_of_the_head_is_decided_by_the_tail
+        (iends: its equal case at an inverse border);
+      kill: test_a_tail_ending_in_a_non_border_prefix_undercuts_the_join;
+      ikill, ikeep (its equal case):
+        test_an_inverse_tail_ending_in_a_prefix_is_decided_by_the_inverse_head;
+      keep: test_only_flagged_tail_halves_open_rotations, and for the
+        border suffixes that set no flag,
+        test_a_tail_starting_with_a_border_suffix_leaves_the_rotation_above.
+    A copy that skips any one rule fails
+    test_pendant_words_match_the_reference_join_at_k2, and all but itop
+    and ikeep also fail the brute force to n = 8.
     """
     m = n // 2
     nonoriented = category == "nonoriented"
@@ -403,10 +421,8 @@ def _pendant_words(n: int, w: int, category: str) -> dict[str, GroupElement]:
                     itop = max(itop, h[m - i :])
                     iends.append(h[m - i :])
                     borders.append(slice(2 * n + i, 3 * n + i))
-        if mirror := nonoriented and ih == h:
-            borders.append(slice(2 * n, 3 * n))
         tests = tuple(kill), tuple(ikill), tuple(iends), tuple(keep), tuple(ikeep)
-        return h, ih, top, itop, mirror, *tests, borders + in_tails
+        return h, ih, top, itop, nonoriented and ih == h, *tests, borders + in_tails
 
     tails = levels[-1]
 

@@ -20,16 +20,19 @@ so twist(1, 0) = R and twist(0, 1) = L^-1; positive twists form the
 conjugacy class of R, and L lies in the *inverse* twist class.
 
 Elements of PSL(2,Z) are stored as the SL(2,Z) lift whose first nonzero
-entry in reading order (a, b, c, d) is positive.  A GroupElement is an
-immutable tuple of those entries, so ``a, b, c, d = g`` unpacks it and
-``g == (a, b, c, d)`` holds; a TwistVector is the tuple (p, q) likewise.
-The tuple's concatenation, repetition and ordering raise TypeError, and
-``g * h`` is the group product.  The products the package builds itself
-(runs of L and R, parsed words, conjugates, real involutions, stone
-words) multiply the entries as integers and build one checked element
-per result.  Python integers are unbounded, so no overflow handling is
-needed anywhere; an element whose normal form would exceed
-QUOTIENT_SUM_CAP L-steps is refused with BudgetError.
+entry in reading order (a, b, c, d) is positive.  Like every value type
+of the package, GroupElement and TwistVector are read-only namedtuple
+records validated in __new__: ``a, b, c, d = g`` unpacks an element and
+``g == (a, b, c, d)`` holds, and a TwistVector is the record (p, q)
+likewise.  namedtuple's _make and _replace skip the checks, and a CI step
+refuses them in package code.  The tuple's concatenation, repetition and
+ordering raise TypeError, and ``g * h`` is the group product.  The
+products the package builds itself (runs of L and R, parsed words,
+conjugates, real involutions, stone words) multiply the entries as
+integers and build one checked element per result.  Python integers
+are unbounded, so no overflow handling is needed anywhere; an element
+whose normal form would exceed QUOTIENT_SUM_CAP L-steps is refused with
+BudgetError.
 
 A parabolic or hyperbolic ConjugacyClass holds its cutting word as a
 CyclicDiagram, rotated to its least rotation once per element; the
@@ -42,7 +45,6 @@ import math
 import re
 from collections import namedtuple
 from functools import lru_cache
-from operator import itemgetter
 from typing import Optional
 
 from .diagrams import CyclicDiagram, reflection_symmetries
@@ -83,10 +85,10 @@ def _no_tuple_operator(self, other):
     raise TypeError(f"operation not defined for {type(self).__name__}")
 
 
-class GroupElement(tuple):
+class GroupElement(namedtuple("GroupElement", "a b c d")):
     """An element of PSL(2,Z), stored as a sign-normalized det-1 matrix.
 
-    An immutable tuple (a, b, c, d): equality and hashing are the tuple's.
+    A read-only record (a, b, c, d): equality and hashing are the tuple's.
     """
 
     __slots__ = ()
@@ -98,14 +100,6 @@ class GroupElement(tuple):
         if a < 0 or (a == 0 and b < 0):
             a, b, c, d = -a, -b, -c, -d
         return tuple.__new__(cls, (a, b, c, d))
-
-    a = property(itemgetter(0))
-    b = property(itemgetter(1))
-    c = property(itemgetter(2))
-    d = property(itemgetter(3))
-
-    def __getnewargs__(self):
-        return tuple(self)
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         a, b, c, d = self
@@ -170,10 +164,10 @@ def product(elements) -> GroupElement:
     return GroupElement(a, b, c, d)
 
 
-class TwistVector(tuple):
+class TwistVector(namedtuple("TwistVector", "p q")):
     """A primitive integer vector (p, q), defined up to overall sign.
 
-    An immutable tuple (p, q), like GroupElement.
+    A read-only record (p, q), like GroupElement.
     """
 
     __slots__ = ()
@@ -185,17 +179,8 @@ class TwistVector(tuple):
             p, q = -p, -q
         return tuple.__new__(cls, (p, q))
 
-    p = property(itemgetter(0))
-    q = property(itemgetter(1))
-
-    def __getnewargs__(self):
-        return tuple(self)
-
     __add__ = __radd__ = __mul__ = __rmul__ = _no_tuple_operator
     __lt__ = __le__ = __gt__ = __ge__ = _no_tuple_operator
-
-    def __repr__(self):
-        return "TwistVector(p=%d, q=%d)" % self
 
 
 _X1, _X2, _Y1 = ("X", 1), ("X", 2), ("Y", 1)  # the syllables every normal form shares

@@ -78,6 +78,15 @@ def test_no_unused_imports_in_the_package():
             assert name in used, f"{path.name}:{lineno} imports {name} unused"
 
 
+def test_every_package_record_is_a_namedtuple():
+    # one record idiom: a value type subclasses a namedtuple, never a bare tuple
+    for path in sorted(Path(modtwist.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ClassDef):
+                bases = [getattr(base, "id", None) for base in node.bases]
+                assert "tuple" not in bases, f"{path.name}:{node.lineno} {node.name}"
+
+
 def _modules():
     names = sorted(p.stem for p in Path(modtwist.__file__).parent.glob("*.py"))
     return [import_module(f"modtwist.{name}") for name in names if name != "__init__"]

@@ -1,9 +1,11 @@
-"""The contract of the package's sixteen public records.
+"""The contract of the package's eighteen public records.
 
-Each record is built positionally and by keyword, with its defaults, and
-keeps its repr text, equality and hash within its type, a pickle and
-deepcopy round trip, read-only fields, its len() where it has one, and
-the messages of its checks.
+Each record, the value types GroupElement and TwistVector included, is
+built positionally and by keyword, with its defaults, and keeps its repr
+text, equality and hash within its type and against the plain tuple, a
+pickle, copy and deepcopy round trip, read-only fields, its len() where
+it has one, and the messages of its checks.  The two value types keep
+no __dict__ and refuse the tuple's own operators.
 """
 
 import copy
@@ -24,6 +26,7 @@ from modtwist import (
     EnumerationResult,
     Factorization,
     FactorizationRealityReport,
+    GroupElement,
     MarkedPseudoTree,
     NecklaceClass,
     NecklaceStats,
@@ -33,6 +36,7 @@ from modtwist import (
     RealStructure,
     StrongClassLabel,
     SyllableWord,
+    TwistVector,
     analyze,
     evaluate,
 )
@@ -50,6 +54,14 @@ def _fields(analysis):
 # record type, positional args, keyword args (the same record), args of a
 # different record of the type, and the repr of the first
 CASES = [
+    (
+        GroupElement,
+        (1, 1, 0, 1),
+        {"a": -1, "b": -1, "c": 0, "d": -1},
+        (1, 0, 1, 1),
+        "GroupElement(1, 1, 0, 1)",
+    ),
+    (TwistVector, (1, -2), {"p": -1, "q": 2}, (2, 1), "TwistVector(p=1, q=-2)"),
     (CyclicDiagram, ("RLL",), {"letters": "LRL"}, ("LRR",), "CyclicDiagram(letters='LLR')"),
     (
         ParaSymmetry,
@@ -168,7 +180,7 @@ IDS = [case[0].__name__ for case in CASES]
 
 
 def test_the_cases_cover_every_public_record():
-    assert len({case[0] for case in CASES}) == 16
+    assert len({case[0] for case in CASES}) == 18
 
 
 @pytest.mark.parametrize("record, args, kwargs, other, text", CASES, ids=IDS)
@@ -176,6 +188,7 @@ def test_a_record_builds_compares_and_prints_as_before(record, args, kwargs, oth
     r = record(*args)
     assert type(r) is record and repr(r) == text
     assert record(**kwargs) == r and hash(record(**kwargs)) == hash(r)
+    assert r == tuple(r) and hash(r) == hash(tuple(r))
     assert record(*other) != r
 
 
@@ -226,6 +239,26 @@ def test_the_kept_lengths():
     assert len(SyllableWord(())) == 0
     assert len(Factorization(TWISTS)) == 2
     assert len(Factorization(())) == 0
+    assert len(L) == 4 and len(TwistVector(1, 2)) == 2
+
+
+@pytest.mark.parametrize("value, other", [(L, R), (TwistVector(1, 2), TwistVector(0, 1))])
+def test_the_value_types_refuse_the_tuple_operators(value, other):
+    # concatenation on either side, repetition and ordering mean nothing for
+    # a group element or a twist vector; L * R is the group product instead
+    assert not hasattr(value, "__dict__")
+    for operation in (
+        lambda: value + other,
+        lambda: value + (1,),
+        lambda: (1,) + value,
+        lambda: 2 * value,
+        lambda: value * 2,
+        lambda: value < other,
+        lambda: value <= (1,),
+        lambda: (1,) < value,
+    ):
+        with pytest.raises(TypeError):
+            operation()
 
 
 def test_the_vectors_and_the_canonical_pairs_are_kept_read_only():
@@ -252,6 +285,10 @@ def test_the_vectors_and_the_canonical_pairs_are_kept_read_only():
 @pytest.mark.parametrize(
     "build, message",
     [
+        (lambda: GroupElement(1, 0, 0, 2), "matrix determinant must be 1, got 2"),
+        (lambda: GroupElement(0, 0, 0, 0), "matrix determinant must be 1, got 0"),
+        (lambda: TwistVector(2, -4), "twist vector (2, -4) is not primitive"),
+        (lambda: TwistVector(0, 0), "twist vector (0, 0) is not primitive"),
         (lambda: CyclicDiagram(""), "empty cyclic word"),
         (lambda: CyclicDiagram("LXR"), "cyclic words use letters L/R only: 'LXR'"),
         (lambda: SyllableWord((("X", 1), ("X", 2))), "adjacent syllables from the same factor"),
